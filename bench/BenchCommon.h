@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Helpers shared by the per-table/per-figure benchmark binaries: context
-/// selection, timed encrypted kernel runs, and fixed-width table printing
+/// Helpers shared by the per-table/per-figure benchmark binaries: BFV
+/// session setup, timed encrypted kernel runs, and fixed-width table printing
 /// that mirrors the paper's layout.
 ///
 //===----------------------------------------------------------------------===//
@@ -14,13 +14,14 @@
 #ifndef PORCUPINE_BENCH_BENCHCOMMON_H
 #define PORCUPINE_BENCH_BENCHCOMMON_H
 
-#include "backend/BfvExecutor.h"
 #include "backend/ExecutorBackend.h"
 #include "quill/Analysis.h"
 #include "support/Timing.h"
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,35 +29,31 @@
 namespace porcupine {
 namespace bench {
 
-/// Builds the evaluation context for a pair of kernel programs: standard
-/// 128-bit-security parameters sized for the deeper of the two.
-inline BfvContext contextFor(const quill::Program &A,
-                             const quill::Program &B) {
-  int Depth = std::max(quill::programMultiplicativeDepth(A),
-                       quill::programMultiplicativeDepth(B));
-  return BfvContext::forMultDepth(static_cast<unsigned>(Depth));
-}
-
-/// Measures the mean wall-clock latency (microseconds) of running \p P on
-/// \p Exec over \p Repeats runs (one warmup run excluded).
-inline double timeEncryptedRuns(const BfvExecutor &Exec,
-                                const quill::Program &P,
-                                const std::vector<Ciphertext> &Inputs,
-                                int Repeats) {
-  Exec.run(P, Inputs); // Warmup.
-  Stopwatch W;
-  for (int I = 0; I < Repeats; ++I)
-    Exec.run(P, Inputs);
-  return W.micros() / Repeats;
+/// Opens a session on the "bfv" backend for \p Programs, with standard
+/// 128-bit-security parameters sized for the deepest one. Exits with the
+/// backend's diagnostic if it refuses the set.
+inline std::unique_ptr<backend::Executor>
+openBfvSession(const std::vector<const quill::Program *> &Programs,
+               uint64_t Seed) {
+  backend::SessionSpec Spec;
+  Spec.Programs = Programs;
+  Spec.ExecutionSeed = Seed;
+  auto Exec =
+      backend::BackendRegistry::builtin().find("bfv")->createExecutor(Spec);
+  if (!Exec) {
+    std::fprintf(stderr, "%s\n", Exec.status().toString().c_str());
+    std::exit(1);
+  }
+  return Exec.take();
 }
 
 /// Noise-robust A/B comparison: alternates single runs of \p A and \p B so
 /// slow environment drift (container CPU shares, frequency scaling) hits
 /// both variants equally, and reports per-variant medians in microseconds.
 inline std::pair<double, double>
-timeInterleaved(const BfvExecutor &Exec, const quill::Program &A,
+timeInterleaved(const backend::Executor &Exec, const quill::Program &A,
                 const quill::Program &B,
-                const std::vector<Ciphertext> &Inputs, int Repeats) {
+                const std::vector<backend::Value> &Inputs, int Repeats) {
   Exec.run(A, Inputs); // Warmups.
   Exec.run(B, Inputs);
   std::vector<double> TimesA, TimesB;
@@ -77,8 +74,9 @@ timeInterleaved(const BfvExecutor &Exec, const quill::Program &A,
   return {Median(TimesA), Median(TimesB)};
 }
 
-/// Backend-interface overload: times \p P through an abstract execution
-/// session, so figure benches run unchanged on any registered backend.
+/// Measures the mean wall-clock latency (microseconds) of running \p P on
+/// \p Exec over \p Repeats runs (one warmup run excluded). Any registered
+/// backend's session works.
 inline double timeEncryptedRuns(const backend::Executor &Exec,
                                 const quill::Program &P,
                                 const std::vector<backend::Value> &Inputs,

@@ -20,66 +20,36 @@
 
 #include "BenchCommon.h"
 
+#include "backend/LatencyProfiler.h"
 #include "bfv/BatchEncoder.h"
 #include "bfv/Decryptor.h"
 #include "bfv/Encryptor.h"
-#include "bfv/Evaluator.h"
 #include "bfv/KeyGenerator.h"
 #include "support/Random.h"
 #include "support/Timing.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <vector>
 
 using namespace porcupine;
-
-namespace {
-
-/// Median of \p Repeats timings of \p Fn, in microseconds.
-template <typename FnT> double medianMicros(int Repeats, FnT Fn) {
-  std::vector<double> Times;
-  Times.reserve(Repeats);
-  for (int I = 0; I < Repeats; ++I) {
-    Stopwatch W;
-    Fn();
-    Times.push_back(W.micros());
-  }
-  std::sort(Times.begin(), Times.end());
-  return Times[Times.size() / 2];
-}
-
-} // namespace
 
 int main(int Argc, char **Argv) {
   int Repeats = bench::argInt(Argc, Argv, "--repeats", 25);
 
   BfvContext Ctx = BfvContext::forMultDepth(1);
   Rng R(7);
+  // The cost-model ops come from the profiler that prices the cost model,
+  // so this bench and LatencySource::Profiled compiles time the same code.
+  quill::LatencyTable Ops = profileLatencies(Ctx, R, Repeats);
+
   KeyGenerator Keygen(Ctx, R);
   PublicKey Pk = Keygen.createPublicKey();
   Encryptor Enc(Ctx, Pk, R);
-  Evaluator Eval(Ctx);
   BatchEncoder Encoder(Ctx);
   Decryptor Dec(Ctx, Keygen.secretKey());
-  RelinKeys Relin = Keygen.createRelinKeys();
-  GaloisKeys Galois = Keygen.createGaloisKeys({1});
-
   Plaintext Plain =
       Encoder.encode(R.vectorBelow(Ctx.plainModulus(), Ctx.slotCount()));
   Ciphertext A = Enc.encrypt(Plain);
-  Ciphertext B = Enc.encrypt(Plain);
-  Ciphertext Product = Eval.multiply(A, B);
-
-  double AddUs = medianMicros(Repeats, [&] { Eval.add(A, B); });
-  double SubUs = medianMicros(Repeats, [&] { Eval.sub(A, B); });
-  double AddPtUs = medianMicros(Repeats, [&] { Eval.addPlain(A, Plain); });
-  double MulPtUs =
-      medianMicros(Repeats, [&] { Eval.multiplyPlain(A, Plain); });
-  double MulRawUs = medianMicros(Repeats, [&] { Eval.multiply(A, B); });
-  double RelinUs =
-      medianMicros(Repeats, [&] { Eval.relinearize(Product, Relin); });
-  double RotUs = medianMicros(Repeats, [&] { Eval.rotateRows(A, 1, Galois); });
   double EncryptUs = medianMicros(Repeats, [&] { Enc.encrypt(Plain); });
   double DecryptUs = medianMicros(Repeats, [&] { Dec.decrypt(A); });
 
@@ -106,14 +76,14 @@ int main(int Argc, char **Argv) {
   std::printf("  \"coeff_modulus_bits\": %u,\n", Ctx.coeffModulusBits());
   std::printf("  \"repeats\": %d,\n", Repeats);
   std::printf("  \"ops_us\": {\n");
-  std::printf("    \"add_ct_ct\": %.1f,\n", AddUs);
-  std::printf("    \"sub_ct_ct\": %.1f,\n", SubUs);
-  std::printf("    \"add_ct_pt\": %.1f,\n", AddPtUs);
-  std::printf("    \"mul_ct_pt\": %.1f,\n", MulPtUs);
-  std::printf("    \"mul_ct_ct_raw\": %.1f,\n", MulRawUs);
-  std::printf("    \"relin\": %.1f,\n", RelinUs);
-  std::printf("    \"mul_ct_ct\": %.1f,\n", MulRawUs + RelinUs);
-  std::printf("    \"rotate\": %.1f,\n", RotUs);
+  std::printf("    \"add_ct_ct\": %.1f,\n", Ops.AddCtCt);
+  std::printf("    \"sub_ct_ct\": %.1f,\n", Ops.SubCtCt);
+  std::printf("    \"add_ct_pt\": %.1f,\n", Ops.AddCtPt);
+  std::printf("    \"mul_ct_pt\": %.1f,\n", Ops.MulCtPt);
+  std::printf("    \"mul_ct_ct_raw\": %.1f,\n", Ops.MulCtCt - Ops.RelinCt);
+  std::printf("    \"relin\": %.1f,\n", Ops.RelinCt);
+  std::printf("    \"mul_ct_ct\": %.1f,\n", Ops.MulCtCt);
+  std::printf("    \"rotate\": %.1f,\n", Ops.RotCt);
   std::printf("    \"encrypt\": %.1f,\n", EncryptUs);
   std::printf("    \"decrypt\": %.1f,\n", DecryptUs);
   std::printf("    \"ntt_forward\": %.1f,\n", NttFwdUs);

@@ -40,19 +40,18 @@ struct Row {
 /// Times baseline and synthesized variants and prints one table row.
 /// Returns the measured speedup fraction (baseline/synth - 1).
 double runRow(const Row &R, Rng &Rand) {
-  BfvContext Ctx = contextFor(*R.Baseline, *R.Synthesized);
-  BfvExecutor Exec(Ctx, Rand, {R.Baseline, R.Synthesized});
+  auto Exec = openBfvSession({R.Baseline, R.Synthesized}, Rand.next());
+  uint64_t T = Exec->plainModulus();
 
-  auto Inputs = R.Spec->randomInputs(Rand, Ctx.plainModulus(), /*Bound=*/64);
-  std::vector<Ciphertext> Encrypted;
+  auto Inputs = R.Spec->randomInputs(Rand, T, /*Bound=*/64);
+  std::vector<backend::Value> Encrypted;
   for (const auto &In : Inputs)
-    Encrypted.push_back(Exec.encryptInput(In));
+    Encrypted.push_back(*Exec->encrypt(In));
 
   // Correctness guard: both variants must decrypt to the reference result.
-  auto Want = R.Spec->evalConcrete(Inputs, Ctx.plainModulus());
+  auto Want = R.Spec->evalConcrete(Inputs, T);
   for (const Program *P : {R.Baseline, R.Synthesized}) {
-    auto Got = Exec.decryptOutput(Exec.run(*P, Encrypted),
-                                  R.Spec->vectorSize());
+    auto Got = Exec->decrypt(*Exec->run(*P, Encrypted), R.Spec->vectorSize());
     for (size_t J = 0; J < R.Spec->vectorSize(); ++J)
       if (R.Spec->outputSlotMatters(J) && Got[J] != Want[J]) {
         std::printf("!! %s: wrong encrypted result, aborting row\n",
@@ -62,11 +61,11 @@ double runRow(const Row &R, Rng &Rand) {
   }
 
   auto [BaseUs, SynthUs] =
-      timeInterleaved(Exec, *R.Baseline, *R.Synthesized, Encrypted,
+      timeInterleaved(*Exec, *R.Baseline, *R.Synthesized, Encrypted,
                       R.Repeats);
   double SpeedupPct = (BaseUs / SynthUs - 1.0) * 100.0;
   std::printf("%-22s %6zu %10.1f %10.1f %+9.1f%% %+9.1f%% %8d\n",
-              R.Name.c_str(), Ctx.polyDegree(), BaseUs / 1000.0,
+              R.Name.c_str(), Exec->polyDegree(), BaseUs / 1000.0,
               SynthUs / 1000.0, SpeedupPct, R.PaperSpeedupPct, R.Repeats);
   std::fflush(stdout);
   return BaseUs / SynthUs - 1.0;

@@ -12,10 +12,9 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "backend/BfvExecutor.h"
+#include "BenchCommon.h"
 #include "kernels/Kernels.h"
 #include "quill/Program.h"
-#include "support/Random.h"
 
 #include <cstdio>
 
@@ -50,10 +49,8 @@ int main() {
   std::printf("(each step decrypts the intermediate ciphertext; data is the "
               "3x3 interior, border is zero padding)\n\n");
 
-  BfvContext Ctx = BfvContext::forMultDepth(1);
-  Rng R(3);
-  BfvExecutor Exec(Ctx, R, {&P});
-  uint64_t T = Ctx.plainModulus();
+  auto Exec = bench::openBfvSession({&P}, /*Seed=*/3);
+  uint64_t T = Exec->plainModulus();
 
   // A recognizable ramp image on the 3x3 interior.
   std::vector<uint64_t> Img(ImageGeom::Slots, 0);
@@ -64,8 +61,7 @@ int main() {
 
   printGrid("input image (c0):", Img, T);
 
-  auto Trace = Exec.runWithTrace(P, {Exec.encryptInput(Img)},
-                                 ImageGeom::Slots);
+  auto Trace = *Exec->runWithTrace(P, {*Exec->encrypt(Img)}, ImageGeom::Slots);
   for (size_t K = 0; K < P.Instructions.size(); ++K) {
     const Instr &I = P.Instructions[K];
     char Label[128];

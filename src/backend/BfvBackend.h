@@ -6,10 +6,18 @@
 ///
 /// \file
 /// The default ExecutorBackend ("bfv"): real encrypted execution on the
-/// in-tree RNS BFV runtime, wrapping backend/BfvExecutor bit-for-bit. Each
-/// session owns a context (or reuses a prior session's via
-/// SessionSpec::Reuse), fresh keys seeded from ExecutionSeed, and Galois
-/// keys for exactly the program set's rotations.
+/// in-tree RNS BFV runtime - the role SEAL plays in the paper's toolchain,
+/// and the only way to run a Quill program on BFV ciphertexts. Each session
+/// owns a context (or reuses a prior session's via SessionSpec::Reuse),
+/// fresh keys seeded from ExecutionSeed, and Galois keys for exactly the
+/// program set's rotations.
+///
+/// For implicit-relin programs a session performs the code-generation
+/// post-processing the paper describes: relinearization after every
+/// ciphertext-ciphertext multiply. Explicit-relin programs
+/// (Program::ExplicitRelin, produced by the lazy-relin pass) schedule
+/// relinearization themselves; multiplies stay raw three-component results
+/// until a Relin instruction reduces them.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -13,27 +13,9 @@
 #include "bfv/KeyGenerator.h"
 #include "support/Timing.h"
 
-#include <algorithm>
 #include <vector>
 
 using namespace porcupine;
-
-namespace {
-
-/// Median of repeated timings of \p Fn, in microseconds.
-template <typename FnT> double medianMicros(int Repeats, FnT Fn) {
-  std::vector<double> Times;
-  Times.reserve(Repeats);
-  for (int I = 0; I < Repeats; ++I) {
-    Stopwatch W;
-    Fn();
-    Times.push_back(W.micros());
-  }
-  std::sort(Times.begin(), Times.end());
-  return Times[Times.size() / 2];
-}
-
-} // namespace
 
 quill::LatencyTable porcupine::profileLatencies(const BfvContext &Ctx, Rng &R,
                                                 int Repeats) {

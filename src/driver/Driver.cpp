@@ -7,6 +7,7 @@
 #include "driver/Driver.h"
 
 #include "backend/LatencyProfiler.h"
+#include "bfv/BfvContext.h"
 #include "quill/Interpreter.h"
 #include "support/Json.h"
 
@@ -213,12 +214,23 @@ Expected<std::string> Compiler::emit(const quill::Program &P) const {
   return emitSealCode(P, Opts.Codegen);
 }
 
+ParameterChoice driver::chooseParameters(const quill::Program &P) {
+  ParameterChoice Choice;
+  Choice.MultiplicativeDepth =
+      static_cast<unsigned>(quill::programMultiplicativeDepth(P));
+  BfvParams Params = BfvContext::paramsForMultDepth(Choice.MultiplicativeDepth);
+  Choice.PolyDegree = Params.PolyDegree;
+  for (unsigned Bits : Params.CoeffPrimeBits)
+    Choice.CoeffModulusBits += Bits;
+  return Choice;
+}
+
 Expected<ParameterChoice>
 Compiler::selectParameters(const quill::Program &P) const {
   Status S = validateProgram(P, "parameters");
   if (!S)
     return S;
-  return porcupine::selectParameters(P);
+  return chooseParameters(P);
 }
 
 Expected<Runtime>

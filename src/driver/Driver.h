@@ -36,7 +36,6 @@
 #define PORCUPINE_DRIVER_DRIVER_H
 
 #include "backend/ExecutorBackend.h"
-#include "backend/ParameterSelector.h"
 #include "backend/SealCodeGen.h"
 #include "frontend/Frontend.h"
 #include "kernels/KernelRegistry.h"
@@ -167,6 +166,19 @@ struct CompileOptions {
 /// collide (that is the point — the Engine never re-synthesizes them).
 std::string compileFingerprint(const std::string &KernelName,
                                const CompileOptions &Opts);
+
+/// Chosen BFV parameters with the analysis that justified them.
+struct ParameterChoice {
+  unsigned MultiplicativeDepth = 0;
+  size_t PolyDegree = 0;
+  unsigned CoeffModulusBits = 0;
+};
+
+/// The smallest standard 128-bit-security (N, Q) pair whose noise budget
+/// covers \p P's multiplicative depth: BfvContext::paramsForMultDepth's
+/// tier, read without building the context. This is the "parameter tuning"
+/// step the paper assumes around its compiler; \p P must be valid.
+ParameterChoice chooseParameters(const quill::Program &P);
 
 /// What one full compile() produces.
 struct CompileResult {

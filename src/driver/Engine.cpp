@@ -457,7 +457,7 @@ Expected<Engine::KernelHandle> Engine::loadArtifact(const std::string &Path) {
   if (Art->HasParams)
     R.Params = Art->Params;
   else
-    R.Params = porcupine::selectParameters(R.Program);
+    R.Params = chooseParameters(R.Program);
   R.SealCode = Art->SealCode;
   for (const std::string &Note : Art->Notes)
     R.Notes.push_back({Severity::Note, "artifact", Note});

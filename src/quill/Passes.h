@@ -69,7 +69,8 @@ namespace quill {
 /// Budgets bounding the `eqsat` pass's saturation loop (src/quill/eqsat/).
 /// Defined here rather than in the eqsat headers so PassContext and
 /// driver::CompileOptions can carry them without a layering cycle. The
-/// defaults saturate every bundled kernel with room to spare.
+/// defaults do not saturate every bundled kernel: Variance, Conv2D,
+/// Perceptron and Group-By stop at the MaxNodes cap.
 struct EqSatBudgets {
   /// Maximum saturation iterations (full rule sweeps). <= 0 makes the
   /// pass a no-op.

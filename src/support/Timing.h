@@ -14,7 +14,9 @@
 #ifndef PORCUPINE_SUPPORT_TIMING_H
 #define PORCUPINE_SUPPORT_TIMING_H
 
+#include <algorithm>
 #include <chrono>
+#include <vector>
 
 namespace porcupine {
 
@@ -35,6 +37,19 @@ public:
 private:
   std::chrono::steady_clock::time_point Start;
 };
+
+/// Median of \p Repeats wall-clock timings of \p Fn, in microseconds.
+template <typename FnT> double medianMicros(int Repeats, FnT Fn) {
+  std::vector<double> Times;
+  Times.reserve(Repeats);
+  for (int I = 0; I < Repeats; ++I) {
+    Stopwatch W;
+    Fn();
+    Times.push_back(W.micros());
+  }
+  std::sort(Times.begin(), Times.end());
+  return Times[Times.size() / 2];
+}
 
 } // namespace porcupine
 

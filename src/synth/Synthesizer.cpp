@@ -855,6 +855,7 @@ QueryResult runQueryPortfolio(const KernelSpec &Spec, const Sketch &Sk,
   std::atomic<int> Best{INT_MAX};
   CancellationSource Cancel;
   std::vector<ChosenInstr> BestChosen;
+  std::vector<long> NodesByTask(NumTasks, 0);
   int DoneCount = 0;
   /// Lowest index whose subtree was NOT searched to completion (timed
   /// out, aborted, or skipped), and whether any task genuinely hit the
@@ -885,7 +886,7 @@ QueryResult runQueryPortfolio(const KernelSpec &Spec, const Sketch &Sk,
         TaskNodes = S.nodes();
       }
       std::lock_guard<std::mutex> LG(M);
-      Stats.NodesExplored += TaskNodes;
+      NodesByTask[J] = TaskNodes;
       Stats.NodesPerThread[Worker] += TaskNodes;
       if (TOut) {
         AnyTimeout = true;
@@ -914,6 +915,12 @@ QueryResult runQueryPortfolio(const KernelSpec &Spec, const Sketch &Sk,
   // earlier (or stalled first) — report the timeout instead, like the
   // sequential path does.
   int Winner = Best.load(std::memory_order_relaxed);
+  // Tasks up to the winner always run to completion (or to the winning
+  // solution), so their node counts do not depend on the schedule; the
+  // tasks above it were cut short wherever their worker noticed.
+  for (int J = 0; J < NumTasks; ++J)
+    (J <= Winner ? Stats.NodesExplored : Stats.NodesDiscarded) +=
+        NodesByTask[J];
   if (Winner < MinPartialIdx) {
     Q.Sat = true;
     Q.Chosen = std::move(BestChosen);

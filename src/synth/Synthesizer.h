@@ -91,13 +91,21 @@ struct SynthesisStats {
   /// True when the optimizer exhausted the sketch (solution proven optimal
   /// under the cost model within this sketch).
   bool ProvenOptimal = false;
+  /// Search nodes in the subtrees that decided each query's answer. For
+  /// fixed options and seed this is the same under every thread schedule
+  /// (runs cut short by the timeout excepted).
   long NodesExplored = 0;
+  /// Portfolio work spent in subtrees that a lower-indexed solution
+  /// outran. Where those workers notice the cancellation depends on the
+  /// schedule, so this count varies from run to run; 0 with Threads == 1.
+  long NodesDiscarded = 0;
 
   // Parallel-search accounting (PR 4). ThreadsUsed is the resolved worker
   // count (1 when synthesis never ran the portfolio path); NodesPerThread
-  // has one entry per worker and sums to NodesExplored; CpuTimeSeconds is
-  // process CPU time across all workers, so CpuTimeSeconds /
-  // TotalTimeSeconds approximates the achieved parallel speedup.
+  // has one entry per worker and sums to NodesExplored + NodesDiscarded;
+  // CpuTimeSeconds is process CPU time across all workers, so
+  // CpuTimeSeconds / TotalTimeSeconds approximates the achieved parallel
+  // speedup.
   int ThreadsUsed = 1;
   std::vector<long> NodesPerThread;
   double CpuTimeSeconds = 0.0;

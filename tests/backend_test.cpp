@@ -4,10 +4,10 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "backend/BfvExecutor.h"
+#include "BfvSession.h"
 #include "backend/LatencyProfiler.h"
-#include "backend/ParameterSelector.h"
 #include "backend/SealCodeGen.h"
+#include "driver/Driver.h"
 #include "kernels/Kernels.h"
 #include "quill/Analysis.h"
 #include "quill/Interpreter.h"
@@ -41,37 +41,37 @@ TEST(Executor, RequiredRotationsDeduplicates) {
 }
 
 TEST(Executor, EncryptedExecutionMatchesInterpreter) {
-  BfvContext Ctx(testParams());
+  auto Ctx = std::make_shared<const BfvContext>(testParams());
   Rng R(31);
-  uint64_t T = Ctx.plainModulus();
+  uint64_t T = Ctx->plainModulus();
 
   // Run three structurally different kernels end-to-end encrypted.
   for (KernelBundle (*Make)() :
        {boxBlurKernel, dotProductKernel, polyRegressionKernel}) {
     KernelBundle B = Make();
     std::vector<const Program *> Programs = {&B.Baseline, &B.Synthesized};
-    BfvExecutor Exec(Ctx, R, Programs);
+    auto Exec = openBfvSession(Programs, R.next(), Ctx);
 
     auto Inputs = B.Spec.randomInputs(R, T, /*Bound=*/64);
-    std::vector<Ciphertext> Encrypted;
+    std::vector<backend::Value> Encrypted;
     for (const auto &In : Inputs)
-      Encrypted.push_back(Exec.encryptInput(In));
+      Encrypted.push_back(*Exec->encrypt(In));
 
     for (const Program *P : Programs) {
       // The interpreter models a full batching row.
       Program RowWide = *P;
-      RowWide.VectorSize = Ctx.slotCount();
+      RowWide.VectorSize = Ctx->slotCount();
       std::vector<SlotVector> WideInputs;
       for (const auto &In : Inputs) {
-        SlotVector Wide(Ctx.slotCount(), 0);
+        SlotVector Wide(Ctx->slotCount(), 0);
         std::copy(In.begin(), In.end(), Wide.begin());
         WideInputs.push_back(std::move(Wide));
       }
       SlotVector Want = interpret(RowWide, WideInputs, T);
 
-      Ciphertext Out = Exec.run(*P, Encrypted);
-      EXPECT_GT(Exec.noiseBudget(Out), 0.0) << B.Spec.name();
-      auto Got = Exec.decryptOutput(Out, B.Spec.vectorSize());
+      backend::Value Out = *Exec->run(*P, Encrypted);
+      EXPECT_GT(Exec->noiseBudget(Out), 0.0) << B.Spec.name();
+      auto Got = Exec->decrypt(Out, B.Spec.vectorSize());
       for (size_t J = 0; J < B.Spec.vectorSize(); ++J)
         if (B.Spec.outputSlotMatters(J))
           EXPECT_EQ(Got[J], Want[J]) << B.Spec.name() << " slot " << J;
@@ -82,9 +82,9 @@ TEST(Executor, EncryptedExecutionMatchesInterpreter) {
 TEST(Executor, RandomProgramsAgreeWithInterpreter) {
   // Property test: random straight-line Quill programs executed over
   // encrypted data agree with the plaintext behavioral model.
-  BfvContext Ctx(testParams());
+  auto Ctx = std::make_shared<const BfvContext>(testParams());
   Rng R(32);
-  uint64_t T = Ctx.plainModulus();
+  uint64_t T = Ctx->plainModulus();
   size_t Width = 16;
 
   for (int Trial = 0; Trial < 6; ++Trial) {
@@ -118,38 +118,54 @@ TEST(Executor, RandomProgramsAgreeWithInterpreter) {
     }
     ASSERT_EQ(P.validate(), "");
 
-    BfvExecutor Exec(Ctx, R, {&P});
+    auto Exec = openBfvSession({&P}, R.next(), Ctx);
     std::vector<SlotVector> Inputs;
-    std::vector<Ciphertext> Encrypted;
+    std::vector<backend::Value> Encrypted;
     for (int I = 0; I < 2; ++I) {
       Inputs.push_back(R.vectorBelow(64, Width));
-      Encrypted.push_back(Exec.encryptInput(Inputs.back()));
+      Encrypted.push_back(*Exec->encrypt(Inputs.back()));
     }
     Program RowWide = P;
-    RowWide.VectorSize = Ctx.slotCount();
+    RowWide.VectorSize = Ctx->slotCount();
     std::vector<SlotVector> WideInputs;
     for (const auto &In : Inputs) {
-      SlotVector Wide(Ctx.slotCount(), 0);
+      SlotVector Wide(Ctx->slotCount(), 0);
       std::copy(In.begin(), In.end(), Wide.begin());
       WideInputs.push_back(std::move(Wide));
     }
     SlotVector Want = interpret(RowWide, WideInputs, T);
-    auto Got = Exec.decryptOutput(Exec.run(P, Encrypted), Ctx.slotCount());
+    auto Got = Exec->decrypt(*Exec->run(P, Encrypted), Ctx->slotCount());
     EXPECT_EQ(Got, Want) << "trial " << Trial;
   }
 }
 
 TEST(Executor, TraceExposesIntermediateStates) {
-  BfvContext Ctx(testParams());
+  auto Ctx = std::make_shared<const BfvContext>(testParams());
   Rng R(33);
   KernelBundle B = boxBlurKernel();
-  BfvExecutor Exec(Ctx, R, {&B.Synthesized});
-  auto Inputs = B.Spec.randomInputs(R, Ctx.plainModulus(), 16);
-  auto Trace = Exec.runWithTrace(B.Synthesized, {Exec.encryptInput(Inputs[0])},
-                                 B.Spec.vectorSize());
+  auto Exec = openBfvSession({&B.Synthesized}, R.next(), Ctx);
+  auto Inputs = B.Spec.randomInputs(R, Ctx->plainModulus(), 16);
+  auto Trace = *Exec->runWithTrace(B.Synthesized, {*Exec->encrypt(Inputs[0])},
+                                   B.Spec.vectorSize());
   ASSERT_EQ(Trace.size(), B.Synthesized.Instructions.size());
   // First instruction is rot(c0, 1): slot 0 holds input slot 1.
   EXPECT_EQ(Trace[0][0], Inputs[0][1]);
+}
+
+TEST(Executor, RejectsProgramsWiderThanABatchingRow) {
+  // testParams() has N = 1024, so a row batches 512 slots.
+  auto Ctx = std::make_shared<const BfvContext>(testParams());
+  Program P;
+  P.NumInputs = 1;
+  P.VectorSize = 2 * Ctx->slotCount();
+  P.append(Instr::rot(0, 1));
+  backend::SessionSpec Spec;
+  Spec.Programs = {&P};
+  Spec.Reuse = Ctx;
+  auto Exec =
+      backend::BackendRegistry::builtin().find("bfv")->createExecutor(Spec);
+  ASSERT_FALSE(Exec.hasValue());
+  EXPECT_EQ(Exec.status().diagnostics().front().Stage, "execute");
 }
 
 //===----------------------------------------------------------------------===//
@@ -211,9 +227,16 @@ TEST(Profiler, LatencyOrderingMatchesHeExpectations) {
 
 namespace {
 
+/// Parameters reported by the driver, the public face of the one ladder.
+driver::ParameterChoice reportedParameters(const Program &P) {
+  auto Choice = driver::Compiler().selectParameters(P);
+  EXPECT_TRUE(Choice.hasValue()) << Choice.status().toString();
+  return Choice.take();
+}
+
 TEST(ParameterSelection, DepthLadder) {
   for (const auto &B : kernels::allKernels()) {
-    auto Choice = selectParameters(B.Synthesized);
+    auto Choice = reportedParameters(B.Synthesized);
     EXPECT_EQ(Choice.MultiplicativeDepth,
               static_cast<unsigned>(
                   programMultiplicativeDepth(B.Synthesized)));
@@ -221,20 +244,33 @@ TEST(ParameterSelection, DepthLadder) {
               BfvContext::maxSecureCoeffBits(Choice.PolyDegree));
   }
   // Gradient kernels are multiply-free: smallest tier.
-  EXPECT_EQ(selectParameters(kernels::gxKernel().Synthesized).PolyDegree,
+  EXPECT_EQ(reportedParameters(kernels::gxKernel().Synthesized).PolyDegree,
             4096u);
   // Harris needs the deep tier.
-  EXPECT_EQ(selectParameters(kernels::harrisApp().Synthesized).PolyDegree,
+  EXPECT_EQ(reportedParameters(kernels::harrisApp().Synthesized).PolyDegree,
             8192u);
 }
 
 TEST(ParameterSelection, ContextMatchesChoice) {
-  auto P = kernels::polyRegressionKernel().Synthesized;
-  BfvContext Ctx = contextForProgram(P);
-  auto Choice = selectParameters(P);
-  EXPECT_EQ(Ctx.polyDegree(), Choice.PolyDegree);
-  EXPECT_LE(Ctx.coeffModulusBits(),
-            BfvContext::maxSecureCoeffBits(Ctx.polyDegree()));
+  // The reported (N, log2 Q) must be exactly what the runtime builds for
+  // the same depth, on every tier of the ladder and past its last row.
+  Program P;
+  P.NumInputs = 1;
+  P.VectorSize = 4;
+  P.append(Instr::ctCt(Opcode::AddCtCt, 0, 0));
+  for (unsigned Depth = 0; Depth <= 10; ++Depth) {
+    if (Depth > 0) // Square the previous value: one more level.
+      P.append(Instr::ctCt(Opcode::MulCtCt, P.outputId(), P.outputId()));
+    ASSERT_EQ(programMultiplicativeDepth(P), static_cast<int>(Depth));
+    auto Choice = reportedParameters(P);
+    BfvContext Ctx = BfvContext::forMultDepth(Depth);
+    EXPECT_EQ(Choice.MultiplicativeDepth, Depth);
+    EXPECT_EQ(Choice.PolyDegree, Ctx.polyDegree()) << "depth " << Depth;
+    EXPECT_EQ(Choice.CoeffModulusBits, Ctx.coeffModulusBits())
+        << "depth " << Depth;
+    EXPECT_LE(Ctx.coeffModulusBits(),
+              BfvContext::maxSecureCoeffBits(Ctx.polyDegree()));
+  }
 }
 
 } // namespace

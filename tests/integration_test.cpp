@@ -12,10 +12,11 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "backend/BfvExecutor.h"
+#include "BfvSession.h"
 #include "backend/SealCodeGen.h"
 #include "kernels/Kernels.h"
 #include "quill/Analysis.h"
+#include "quill/Interpreter.h"
 #include "spec/Equivalence.h"
 #include "synth/Synthesizer.h"
 
@@ -69,18 +70,18 @@ TEST_P(PipelineTest, SpecToEncryptedExecution) {
   BfvParams Params;
   Params.PolyDegree = 1024;
   Params.CoeffPrimeBits = {40, 40, 40};
-  BfvContext Ctx(Params);
+  auto Ctx = std::make_shared<const BfvContext>(Params);
   Rng R(23);
-  BfvExecutor Exec(Ctx, R, {&Result.Prog});
+  auto Exec = openBfvSession({&Result.Prog}, R.next(), Ctx);
   for (int Trial = 0; Trial < 3; ++Trial) {
-    auto Inputs = B.Spec.randomInputs(R, Ctx.plainModulus(), 64);
-    std::vector<Ciphertext> Enc;
+    auto Inputs = B.Spec.randomInputs(R, Ctx->plainModulus(), 64);
+    std::vector<backend::Value> Enc;
     for (const auto &In : Inputs)
-      Enc.push_back(Exec.encryptInput(In));
-    Ciphertext Out = Exec.run(Result.Prog, Enc);
-    EXPECT_GT(Exec.noiseBudget(Out), 0.0);
-    auto Got = Exec.decryptOutput(Out, B.Spec.vectorSize());
-    auto Want = B.Spec.evalConcrete(Inputs, Ctx.plainModulus());
+      Enc.push_back(*Exec->encrypt(In));
+    backend::Value Out = *Exec->run(Result.Prog, Enc);
+    EXPECT_GT(Exec->noiseBudget(Out), 0.0);
+    auto Got = Exec->decrypt(Out, B.Spec.vectorSize());
+    auto Want = B.Spec.evalConcrete(Inputs, Ctx->plainModulus());
     for (size_t J = 0; J < B.Spec.vectorSize(); ++J)
       if (B.Spec.outputSlotMatters(J))
         EXPECT_EQ(Got[J], Want[J]) << "slot " << J;

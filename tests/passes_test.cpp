@@ -15,12 +15,11 @@
 
 #include "quill/Passes.h"
 
-#include "backend/BfvExecutor.h"
-#include "bfv/BfvContext.h"
 #include "driver/Driver.h"
 #include "kernels/Kernels.h"
 #include "quill/Analysis.h"
 #include "quill/Interpreter.h"
+#include "BfvSession.h"
 #include "TestSeed.h"
 
 #include <gtest/gtest.h>
@@ -339,15 +338,13 @@ TEST(LazyRelinPass, ExplicitProgramsExecuteEncryptedCorrectly) {
   PassRunStats S = runPass("lazy-relin", Explicit);
   EXPECT_EQ(S.RelinsDeferred, 2);
 
-  BfvContext Ctx = BfvContext::forMultDepth(1);
-  Rng R(5);
-  BfvExecutor Exec(Ctx, R, {&Implicit, &Explicit});
+  auto Exec = openBfvSession({&Implicit, &Explicit}, /*Seed=*/5);
   std::vector<uint64_t> A{3, 1, 4, 1}, B{2, 7, 1, 8};
   for (const Program *P : {&Implicit, &Explicit}) {
-    Ciphertext Out = Exec.run(
-        *P, {Exec.encryptInput(A), Exec.encryptInput(B)});
-    EXPECT_GT(Exec.noiseBudget(Out), 0.0) << P->ExplicitRelin;
-    auto Got = Exec.decryptOutput(Out, 4);
+    backend::Value Out =
+        *Exec->run(*P, {*Exec->encrypt(A), *Exec->encrypt(B)});
+    EXPECT_GT(Exec->noiseBudget(Out), 0.0) << P->ExplicitRelin;
+    auto Got = Exec->decrypt(Out, 4);
     EXPECT_EQ(Got, (std::vector<uint64_t>{3 * 2 + 9, 7 + 1, 4 + 16,
                                           8 + 1}))
         << "explicit=" << P->ExplicitRelin;

@@ -220,12 +220,13 @@ TEST(ParallelSynthesis, HammingDistanceDeterministicAcrossThreads) {
   EXPECT_EQ(Seq.ThreadsUsed, 1);
   ASSERT_EQ(Seq.NodesPerThread.size(), 1u);
   EXPECT_EQ(Seq.NodesPerThread[0], Seq.NodesExplored);
+  EXPECT_EQ(Seq.NodesDiscarded, 0);
 
   EXPECT_EQ(Par.ThreadsUsed, 4);
   ASSERT_EQ(Par.NodesPerThread.size(), 4u);
   long Sum = std::accumulate(Par.NodesPerThread.begin(),
                              Par.NodesPerThread.end(), 0l);
-  EXPECT_EQ(Sum, Par.NodesExplored);
+  EXPECT_EQ(Sum, Par.NodesExplored + Par.NodesDiscarded);
   EXPECT_GE(Par.CpuTimeSeconds, 0.0);
   EXPECT_GT(Par.TotalTimeSeconds, 0.0);
 
@@ -234,7 +235,8 @@ TEST(ParallelSynthesis, HammingDistanceDeterministicAcrossThreads) {
   // candidate count (the factor covers the prefix-enumeration pass plus
   // the cancellation-detection window on each worker; exhausting the
   // losing subtrees outright would be orders of magnitude more).
-  EXPECT_LT(Par.NodesExplored, 3 * Seq.NodesExplored + 100000);
+  EXPECT_LT(Par.NodesExplored + Par.NodesDiscarded,
+            3 * Seq.NodesExplored + 100000);
 }
 
 TEST(ParallelSynthesis, RepeatedParallelRunsAgree) {

@@ -96,6 +96,7 @@ using namespace porcupine::kernels;
 namespace {
 
 int usage() {
+  const quill::EqSatBudgets EqSat;
   std::fprintf(
       stderr,
       "usage: porcc <list|compile|synth|opt|emit|show|run|bench|serve|check> "
@@ -132,7 +133,7 @@ int usage() {
       "   append ',eqsat' for the equality-saturation superoptimizer.\n"
       " --eqsat-iters/--eqsat-nodes/--eqsat-time-ms: eqsat saturation "
       "budgets\n"
-      "   (defaults 8 / 20000 / 0 = no clock, fully deterministic).\n"
+      "   (defaults %d / %d / %g = no clock, fully deterministic).\n"
       " --backend NAME: execution backend. 'bfv' = in-tree encrypted "
       "runtime,\n"
       "   'dryrun' = keyless plaintext semantics with cost-model charging,\n"
@@ -143,7 +144,8 @@ int usage() {
       "(docs/FRONTEND.md);\n"
       "   --dump-frontend prints the access table and rotation schedule, "
       "--synth-subkernels\n"
-      "   routes small sub-expressions through CEGIS.)\n");
+      "   routes small sub-expressions through CEGIS.)\n",
+      EqSat.MaxIterations, EqSat.MaxNodes, EqSat.TimeBudgetMs);
   return 2;
 }
 
