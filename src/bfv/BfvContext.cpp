@@ -79,15 +79,6 @@ BfvContext::BfvContext(const BfvParams &Params)
   for (uint64_t P : CoeffBasis.primes())
     DeltaModPrimes.push_back(Delta.modWord(P));
 
-  unsigned QBits = CoeffBasis.modulus().bitLength();
-  Digits = (QBits + Width - 1) / Width;
-  DigitScales.resize(Digits);
-  for (unsigned D = 0; D < Digits; ++D) {
-    BigInt Scale = BigInt::fromU64(1).shiftLeft(D * Width);
-    for (uint64_t P : CoeffBasis.primes())
-      DigitScales[D].push_back(Scale.modWord(P));
-  }
-
   // RNS key-switch gadget: each coefficient prime's residue splits into
   // base-2^w sub-digits, keyed against 2^(d*w) * (Q/q_i) * [(Q/q_i)^-1]_{q_i}
   // mod Q. Digit values must embed directly as residues of every prime.

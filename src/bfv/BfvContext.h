@@ -87,12 +87,6 @@ public:
   }
 
   unsigned decompWidth() const { return Width; }
-  unsigned decompDigitCount() const { return Digits; }
-  /// (2^(d * width)) mod q_i for digit d and prime i, indexed [d][i].
-  /// Gadget of the BigInt key-switch path (canonical-lift base-2^w digits).
-  const std::vector<std::vector<uint64_t>> &digitScaleModPrimes() const {
-    return DigitScales;
-  }
 
   /// One digit of the RNS key-switch gadget: residue x_i of source prime i,
   /// shifted right by Shift and masked to decompWidth() bits, keyed against
@@ -103,9 +97,9 @@ public:
     unsigned Shift;
     std::vector<uint64_t> ScaleModPrimes;
   };
-  /// The full RNS gadget: per-prime residues split into base-2^w sub-digits,
-  /// so digit magnitude (and thus key-switch noise) matches the BigInt path
-  /// while decomposition needs no wide integers.
+  /// The full RNS gadget: per-prime residues split into base-2^w sub-digits.
+  /// Digits stay below 2^decompWidth() (bounding key-switch noise) and
+  /// decomposition needs no wide integers.
   const std::vector<RnsGadgetDigit> &rnsGadget() const { return RnsGadget; }
 
   /// Fast base conversions between the coefficient and auxiliary bases
@@ -154,8 +148,6 @@ private:
   BigInt Delta;
   std::vector<uint64_t> DeltaModPrimes;
   unsigned Width;
-  unsigned Digits;
-  std::vector<std::vector<uint64_t>> DigitScales;
   std::vector<RnsGadgetDigit> RnsGadget;
   std::vector<uint64_t> TModAux;
   std::vector<uint64_t> TModAuxShoup;

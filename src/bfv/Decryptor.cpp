@@ -31,21 +31,7 @@ Plaintext Decryptor::decrypt(const Ciphertext &Ct) const {
   uint64_t T = Ctx.plainModulus();
   size_t N = Ctx.polyDegree();
 
-  if (!UseRns) {
-    std::vector<BigInt> Lifted = CS.liftCentered(Ctx);
-    const BigInt &Q = Ctx.coeffModulus();
-    BigInt TBig = BigInt::fromU64(T);
-    std::vector<uint64_t> Coeffs(N);
-    for (size_t J = 0; J < Lifted.size(); ++J) {
-      // m_j = round(t * x_j / Q) mod t; the centered lift keeps the
-      // rounding error symmetric.
-      BigInt Scaled = (Lifted[J] * TBig).divRoundNearest(Q);
-      Coeffs[J] = Scaled.modWord(T);
-    }
-    return Plaintext(std::move(Coeffs));
-  }
-
-  // RNS path. With x the centered lift of c(s), write t*x = Q*m' + r where
+  // With x the centered lift of c(s), write t*x = Q*m' + r where
   // r is the centered remainder of t*x mod Q; then round(t*x/Q) = m' and,
   // reducing the identity mod t, m = [-r * Q^-1]_t. r's residues are just
   // t*x_i mod q_i, and r itself (a value in (-Q/2, Q/2)) transfers to the

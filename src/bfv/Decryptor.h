@@ -24,15 +24,12 @@ namespace porcupine {
 /// Decrypts ciphertexts and measures their noise.
 class Decryptor {
 public:
-  /// \p UseRnsPath selects the word-residue decryption (the default); pass
-  /// false for the wide-integer reference path, kept as a differential
-  /// oracle. Both produce identical plaintexts on any decryptable
-  /// ciphertext (the ciphertext modulus is odd, so the t/Q rounding has no
-  /// ties for the paths to resolve differently).
-  Decryptor(const BfvContext &Ctx, SecretKey Sk, bool UseRnsPath = true)
-      : Ctx(Ctx), Sk(std::move(Sk)), UseRns(UseRnsPath) {}
+  Decryptor(const BfvContext &Ctx, SecretKey Sk)
+      : Ctx(Ctx), Sk(std::move(Sk)) {}
 
-  /// Decrypts \p Ct (any component count) to a plaintext.
+  /// Decrypts \p Ct (any component count) to a plaintext, on word residues
+  /// only. It matches the BigInt rounding of tests/oracle/ byte for byte on
+  /// any decryptable ciphertext: Q is odd, so round(t*x/Q) has no ties.
   Plaintext decrypt(const Ciphertext &Ct) const;
 
   /// Returns the invariant noise budget in bits: log2(Q / (2*|v|)) where v
@@ -43,7 +40,6 @@ public:
 private:
   const BfvContext &Ctx;
   SecretKey Sk;
-  bool UseRns;
 
   /// Evaluates c(s) = c0 + c1*s + c2*s^2 + ... in R_Q, coefficient form.
   /// Accepts components in either domain.

@@ -143,83 +143,7 @@ Ciphertext Evaluator::subPlain(const Ciphertext &A, const Plaintext &B) const {
   return Out;
 }
 
-std::vector<BigInt> Evaluator::exactConvolution(const RingPoly &A,
-                                                const RingPoly &B) const {
-  size_t N = Ctx.polyDegree();
-  const auto &Aux = Ctx.auxBasis();
-  const auto &AuxNtt = Ctx.auxNtt();
-
-  std::vector<BigInt> ALift = A.liftCentered(Ctx);
-  std::vector<BigInt> BLift = B.liftCentered(Ctx);
-
-  // Convolve modulo each auxiliary prime, then CRT-reconstruct the exact
-  // signed integer result (|result| < Maux/2 by construction of the basis).
-  std::vector<std::vector<uint64_t>> ResidueProducts(Aux.count());
-  for (size_t P = 0; P < Aux.count(); ++P) {
-    uint64_t Prime = Aux.primes()[P];
-    std::vector<uint64_t> AR(N), BR(N);
-    for (size_t J = 0; J < N; ++J) {
-      AR[J] = ALift[J].modWord(Prime);
-      BR[J] = BLift[J].modWord(Prime);
-    }
-    ResidueProducts[P] = AuxNtt[P].multiply(AR, BR);
-  }
-
-  std::vector<BigInt> Out(N);
-  std::vector<uint64_t> Slice(Aux.count());
-  for (size_t J = 0; J < N; ++J) {
-    for (size_t P = 0; P < Aux.count(); ++P)
-      Slice[P] = ResidueProducts[P][J];
-    Out[J] = Aux.reconstructCentered(Slice);
-  }
-  return Out;
-}
-
-/// Scales each wide coefficient by t/Q with rounding and reduces into RNS.
-static RingPoly scaleToRing(const BfvContext &Ctx,
-                            const std::vector<BigInt> &Wide) {
-  const BigInt &Q = Ctx.coeffModulus();
-  BigInt T = BigInt::fromU64(Ctx.plainModulus());
-  RingPoly Out = RingPoly::zero(Ctx);
-  const auto &Primes = Ctx.coeffBasis().primes();
-  for (size_t J = 0; J < Wide.size(); ++J) {
-    BigInt Scaled = (Wide[J] * T).divRoundNearest(Q);
-    for (size_t I = 0; I < Primes.size(); ++I)
-      Out.residues(I)[J] = Scaled.modWord(Primes[I]);
-  }
-  return Out;
-}
-
-Ciphertext Evaluator::multiply(const Ciphertext &A, const Ciphertext &B) const {
-  if (A.size() != 2 || B.size() != 2)
-    fatalError("multiply requires two-component operands; relinearize first");
-  return UseRns ? multiplyRns(A, B) : multiplyBigInt(A, B);
-}
-
-Ciphertext Evaluator::multiplyBigInt(const Ciphertext &A,
-                                     const Ciphertext &B) const {
-  // BFV tensor product: e0 = a0*b0, e1 = a0*b1 + a1*b0, e2 = a1*b1 over the
-  // integers, each scaled by t/Q with rounding.
-  RingPoly A0 = A[0], A1 = A[1], B0 = B[0], B1 = B[1];
-  A0.ensureCoeff(Ctx);
-  A1.ensureCoeff(Ctx);
-  B0.ensureCoeff(Ctx);
-  B1.ensureCoeff(Ctx);
-  std::vector<BigInt> E0 = exactConvolution(A0, B0);
-  std::vector<BigInt> E1A = exactConvolution(A0, B1);
-  std::vector<BigInt> E1B = exactConvolution(A1, B0);
-  std::vector<BigInt> E2 = exactConvolution(A1, B1);
-  for (size_t J = 0; J < E1A.size(); ++J)
-    E1A[J] += E1B[J];
-
-  Ciphertext Out;
-  Out.Components.push_back(scaleToRing(Ctx, E0));
-  Out.Components.push_back(scaleToRing(Ctx, E1A));
-  Out.Components.push_back(scaleToRing(Ctx, E2));
-  return Out;
-}
-
-RingPoly Evaluator::scaleToRingRns(
+RingPoly Evaluator::scaleToRing(
     const std::vector<std::vector<uint64_t>> &TensorAux) const {
   // The tensor coefficient e lives (exactly, as a signed value) in the
   // auxiliary basis. The goal is c = round(t*e / Q) in the coefficient
@@ -276,8 +200,9 @@ RingPoly Evaluator::scaleToRingRns(
   return Out;
 }
 
-Ciphertext Evaluator::multiplyRns(const Ciphertext &A,
-                                  const Ciphertext &B) const {
+Ciphertext Evaluator::multiply(const Ciphertext &A, const Ciphertext &B) const {
+  if (A.size() != 2 || B.size() != 2)
+    fatalError("multiply requires two-component operands; relinearize first");
   size_t N = Ctx.polyDegree();
   const auto &AuxPrimes = Ctx.auxBasis().primes();
   size_t KAux = AuxPrimes.size();
@@ -328,7 +253,7 @@ Ciphertext Evaluator::multiplyRns(const Ciphertext &A,
   // coefficient basis.
   Ciphertext Out;
   for (auto &T : Tensor)
-    Out.Components.push_back(scaleToRingRns(T));
+    Out.Components.push_back(scaleToRing(T));
   return Out;
 }
 
@@ -350,19 +275,13 @@ Ciphertext Evaluator::multiplyPlain(const Ciphertext &A,
 
 std::pair<RingPoly, RingPoly>
 Evaluator::keySwitch(const RingPoly &P, const KeySwitchKey &Key) const {
-  assert(!Key.empty() && "missing key-switching key");
-  return Key.Kind == GadgetKind::RnsPerPrime ? keySwitchRns(P, Key)
-                                             : keySwitchBigInt(P, Key);
-}
-
-std::pair<RingPoly, RingPoly>
-Evaluator::keySwitchRns(const RingPoly &P, const KeySwitchKey &Key) const {
   // Decompose the per-prime residues directly: gadget digit (i, shift)
   // takes bits [shift, shift + w) of residue x_i. With the default width a
   // whole residue is one digit, so this is the classic per-prime gadget
   // digit_i = x mod q_i. A digit value can exceed a *smaller* prime q_l, so
   // embedding into RNS form reduces through that prime's Barrett table
   // (skipped on the common in-range path).
+  assert(!Key.empty() && "missing key-switching key");
   const auto &Gadget = Ctx.rnsGadget();
   assert(Key.K0.size() == Gadget.size() &&
          "key was generated for a different gadget");
@@ -392,34 +311,6 @@ Evaluator::keySwitchRns(const RingPoly &P, const KeySwitchKey &Key) const {
       }
       Ctx.coeffNtt()[I].forwardTransform(Res);
     }
-    Acc0.fmaNtt(Ctx, DigitPoly, Key.K0[D]);
-    Acc1.fmaNtt(Ctx, DigitPoly, Key.K1[D]);
-  }
-  Acc0.fromNtt(Ctx);
-  Acc1.fromNtt(Ctx);
-  return {std::move(Acc0), std::move(Acc1)};
-}
-
-std::pair<RingPoly, RingPoly>
-Evaluator::keySwitchBigInt(const RingPoly &P, const KeySwitchKey &Key) const {
-  unsigned Digits = Ctx.decompDigitCount();
-  unsigned Width = Ctx.decompWidth();
-  size_t N = Ctx.polyDegree();
-  assert(Key.K0.size() == Digits && "key was generated for a different gadget");
-
-  // Decompose P into base-2^w digit polynomials from the canonical lift.
-  RingPoly Src = P;
-  Src.ensureCoeff(Ctx);
-  std::vector<BigInt> Lifted = Src.liftCanonical(Ctx);
-  RingPoly Acc0 = RingPoly::zero(Ctx, /*InNttForm=*/true);
-  RingPoly Acc1 = RingPoly::zero(Ctx, /*InNttForm=*/true);
-
-  std::vector<int64_t> DigitCoeffs(N);
-  for (unsigned D = 0; D < Digits; ++D) {
-    for (size_t J = 0; J < N; ++J)
-      DigitCoeffs[J] = static_cast<int64_t>(Lifted[J].digit(D, Width));
-    RingPoly DigitPoly = RingPoly::fromSignedCoeffs(Ctx, DigitCoeffs);
-    DigitPoly.toNtt(Ctx);
     Acc0.fmaNtt(Ctx, DigitPoly, Key.K0[D]);
     Acc1.fmaNtt(Ctx, DigitPoly, Key.K1[D]);
   }

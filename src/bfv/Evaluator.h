@@ -30,11 +30,10 @@ namespace porcupine {
 /// bounded cache of NTT-form plaintexts (so kernels that multiply by the
 /// same constants every call pay the plaintext NTT once).
 ///
-/// The hot paths (ciphertext multiply, key switching, decryption) run
-/// RNS-native by default: every per-coefficient step works on 64-bit
-/// residues, with fast base conversion in place of CRT lifts. Passing
-/// UseRnsHotPath = false selects the original wide-integer reference path,
-/// kept alive as a differential-testing oracle.
+/// Ciphertext multiply and key switching are RNS-native: every
+/// per-coefficient step works on 64-bit residues, with fast base conversion
+/// in place of CRT lifts. The wide-integer reference they are tested
+/// against lives with the tests (tests/oracle/).
 ///
 /// Ciphertexts may be in either coefficient or NTT form (all components of
 /// one ciphertext always share a form). Operations that are cheap in
@@ -44,11 +43,7 @@ namespace porcupine {
 /// boundaries.
 class Evaluator {
 public:
-  explicit Evaluator(const BfvContext &Ctx, bool UseRnsHotPath = true)
-      : Ctx(Ctx), Encoder(Ctx), UseRns(UseRnsHotPath) {}
-
-  /// Whether the RNS hot path (vs the BigInt oracle) is active.
-  bool usesRnsHotPath() const { return UseRns; }
+  explicit Evaluator(const BfvContext &Ctx) : Ctx(Ctx), Encoder(Ctx) {}
 
   /// Slot-wise ciphertext addition; operands may have 2 or 3 components.
   Ciphertext add(const Ciphertext &A, const Ciphertext &B) const;
@@ -92,7 +87,6 @@ public:
 private:
   const BfvContext &Ctx;
   BatchEncoder Encoder;
-  bool UseRns;
 
   struct PlainCacheEntry {
     std::vector<uint64_t> Coeffs;
@@ -101,29 +95,16 @@ private:
   mutable std::mutex PlainCacheMutex;
   mutable std::unordered_map<uint64_t, PlainCacheEntry> PlainCache;
 
-  /// Key-switching workhorse: returns (d0, d1) such that
-  /// d0 + d1*s ~= P * s' where Key switches s' -> s. Dispatches on the
-  /// key's gadget kind; results are in coefficient form.
+  /// Key-switching workhorse over the RNS gadget (BfvContext::rnsGadget()):
+  /// returns (d0, d1) such that d0 + d1*s ~= P * s' where Key switches
+  /// s' -> s. Results are in coefficient form.
   std::pair<RingPoly, RingPoly> keySwitch(const RingPoly &P,
                                           const KeySwitchKey &Key) const;
-  std::pair<RingPoly, RingPoly> keySwitchRns(const RingPoly &P,
-                                             const KeySwitchKey &Key) const;
-  std::pair<RingPoly, RingPoly> keySwitchBigInt(const RingPoly &P,
-                                                const KeySwitchKey &Key) const;
-
-  /// The two tensor-and-round implementations behind multiply().
-  Ciphertext multiplyRns(const Ciphertext &A, const Ciphertext &B) const;
-  Ciphertext multiplyBigInt(const Ciphertext &A, const Ciphertext &B) const;
 
   /// Rounds one tensor component held in the auxiliary basis by t/Q and
-  /// returns it reduced into the coefficient basis (RNS multiply step 3).
-  RingPoly scaleToRingRns(
+  /// returns it reduced into the coefficient basis (multiply step 3).
+  RingPoly scaleToRing(
       const std::vector<std::vector<uint64_t>> &TensorAux) const;
-
-  /// Exact negacyclic convolution of two R_Q elements over the integers
-  /// (centered lifts), returned as wide-integer coefficients.
-  std::vector<BigInt> exactConvolution(const RingPoly &A,
-                                       const RingPoly &B) const;
 
   /// Embeds a centered plaintext polynomial into RNS form.
   RingPoly plainToRing(const Plaintext &P) const;

@@ -33,26 +33,20 @@ PublicKey KeyGenerator::createPublicKey() {
   return PublicKey{std::move(Pk0), std::move(A)};
 }
 
-KeySwitchKey KeyGenerator::createKeySwitchKey(const RingPoly &SourceSecret,
-                                              GadgetKind Kind) {
+KeySwitchKey KeyGenerator::createKeySwitchKey(const RingPoly &SourceSecret) {
   // For each gadget digit d with constant g_d:
   //   k0_d = -(a_d*s + e_d) + g_d * s',   k1_d = a_d.
   // Applying the key to the matching decomposition p = sum_d p_d * g_d yields
   // sum_d p_d*k0_d + (sum_d p_d*k1_d)*s  =  p*s' + small error under s.
   KeySwitchKey Key;
-  Key.Kind = Kind;
-  size_t Digits = Kind == GadgetKind::RnsPerPrime ? Ctx.rnsGadget().size()
-                                                  : Ctx.decompDigitCount();
-  for (size_t D = 0; D < Digits; ++D) {
+  for (const BfvContext::RnsGadgetDigit &Digit : Ctx.rnsGadget()) {
     RingPoly A = RingPoly::sampleUniform(Ctx, R);
     RingPoly E = RingPoly::sampleError(Ctx, R);
     RingPoly K0 = RingPoly::multiply(Ctx, A, Secret.S);
     K0.addAssign(Ctx, E);
     K0.negate(Ctx);
     RingPoly Scaled = SourceSecret;
-    Scaled.scaleByScalars(Ctx, Kind == GadgetKind::RnsPerPrime
-                                   ? Ctx.rnsGadget()[D].ScaleModPrimes
-                                   : Ctx.digitScaleModPrimes()[D]);
+    Scaled.scaleByScalars(Ctx, Digit.ScaleModPrimes);
     K0.addAssign(Ctx, Scaled);
     // Store in NTT form: the hot path multiplies these by digit polys.
     K0.toNtt(Ctx);
@@ -63,14 +57,13 @@ KeySwitchKey KeyGenerator::createKeySwitchKey(const RingPoly &SourceSecret,
   return Key;
 }
 
-RelinKeys KeyGenerator::createRelinKeys(GadgetKind Kind) {
+RelinKeys KeyGenerator::createRelinKeys() {
   RingPoly S2 = RingPoly::multiply(Ctx, Secret.S, Secret.S);
-  return RelinKeys{createKeySwitchKey(S2, Kind)};
+  return RelinKeys{createKeySwitchKey(S2)};
 }
 
 GaloisKeys KeyGenerator::createGaloisKeys(const std::vector<int> &Steps,
-                                          bool IncludeColumnSwap,
-                                          GadgetKind Kind) {
+                                          bool IncludeColumnSwap) {
   BatchEncoder Encoder(Ctx);
   GaloisKeys Keys;
   for (int Step : Steps) {
@@ -79,13 +72,13 @@ GaloisKeys KeyGenerator::createGaloisKeys(const std::vector<int> &Steps,
       continue;
     // Rotating maps s to s(x^elt); the key switches s(x^elt) back to s.
     RingPoly SAut = Secret.S.applyGalois(Ctx, Elt);
-    Keys.Keys.emplace(Elt, createKeySwitchKey(SAut, Kind));
+    Keys.Keys.emplace(Elt, createKeySwitchKey(SAut));
   }
   if (IncludeColumnSwap) {
     uint64_t Elt = Encoder.galoisEltForColumnSwap();
     if (!Keys.hasKey(Elt)) {
       RingPoly SAut = Secret.S.applyGalois(Ctx, Elt);
-      Keys.Keys.emplace(Elt, createKeySwitchKey(SAut, Kind));
+      Keys.Keys.emplace(Elt, createKeySwitchKey(SAut));
     }
   }
   return Keys;

@@ -38,19 +38,17 @@ public:
   PublicKey createPublicKey();
 
   /// Creates relinearization keys (s^2 -> s).
-  RelinKeys createRelinKeys(GadgetKind Kind = GadgetKind::RnsPerPrime);
+  RelinKeys createRelinKeys();
 
   /// Creates Galois keys for the requested row-rotation steps (and the
   /// column swap if \p IncludeColumnSwap). Steps use BatchEncoder
   /// conventions: positive = rotate rows left.
   GaloisKeys createGaloisKeys(const std::vector<int> &Steps,
-                              bool IncludeColumnSwap = false,
-                              GadgetKind Kind = GadgetKind::RnsPerPrime);
+                              bool IncludeColumnSwap = false);
 
   /// Creates a key-switching key from \p SourceSecret to the held secret,
-  /// keyed for \p Kind's decomposition gadget.
-  KeySwitchKey createKeySwitchKey(const RingPoly &SourceSecret,
-                                  GadgetKind Kind = GadgetKind::RnsPerPrime);
+  /// keyed for the RNS decomposition gadget.
+  KeySwitchKey createKeySwitchKey(const RingPoly &SourceSecret);
 
 private:
   const BfvContext &Ctx;

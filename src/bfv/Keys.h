@@ -8,7 +8,8 @@
 /// Key types for BFV: the ternary secret key, the RLWE public key,
 /// relinearization keys (key-switch from s^2 to s) and Galois keys
 /// (key-switch from s(x^e) to s, one per rotation step). Key-switching keys
-/// use base-2^w digit decomposition and are stored in NTT form so that
+/// are keyed for the RNS gadget (BfvContext::rnsGadget(): per-prime
+/// residues split into base-2^w sub-digits) and stored in NTT form so that
 /// applying them costs one forward NTT per digit.
 ///
 //===----------------------------------------------------------------------===//
@@ -35,24 +36,12 @@ struct PublicKey {
   RingPoly Pk1;
 };
 
-/// Which gadget a key-switching key was generated for. The decomposition of
-/// a ciphertext component at switch time must match the gadget the key
-/// embeds, so keys carry the tag and the evaluator dispatches on it.
-enum class GadgetKind {
-  /// Base-2^w digits of the canonical BigInt lift (the original path).
-  PowerOfTwo,
-  /// Per-RNS-prime residues, each split into base-2^w sub-digits
-  /// (BfvContext::rnsGadget()); no wide integers at switch time.
-  RnsPerPrime,
-};
-
 /// One key-switching key: for each decomposition digit d, the pair
 /// (-(a_d*s + e_d) + g_d * s', a_d), both stored in NTT form, where g_d is
-/// the d-th gadget constant of \p Kind.
+/// the d-th RNS gadget constant.
 struct KeySwitchKey {
   std::vector<RingPoly> K0;
   std::vector<RingPoly> K1;
-  GadgetKind Kind = GadgetKind::RnsPerPrime;
 
   bool empty() const { return K0.empty(); }
 };

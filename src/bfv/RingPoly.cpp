@@ -83,19 +83,6 @@ std::vector<BigInt> RingPoly::liftCentered(const BfvContext &Ctx) const {
   return Out;
 }
 
-std::vector<BigInt> RingPoly::liftCanonical(const BfvContext &Ctx) const {
-  assert(!Ntt && "lift requires coefficient form");
-  size_t N = Ctx.polyDegree();
-  std::vector<BigInt> Out(N);
-  std::vector<uint64_t> Slice(Residues.size());
-  for (size_t J = 0; J < N; ++J) {
-    for (size_t I = 0; I < Residues.size(); ++I)
-      Slice[I] = Residues[I][J];
-    Out[J] = Ctx.coeffBasis().reconstruct(Slice);
-  }
-  return Out;
-}
-
 void RingPoly::toNtt(const BfvContext &Ctx) {
   assert(!Ntt && "already in NTT form");
   for (size_t I = 0; I < Residues.size(); ++I)

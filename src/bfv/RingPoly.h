@@ -8,9 +8,8 @@
 /// Elements of R_Q = Z_Q[x]/(x^N + 1) stored in residue-number-system form:
 /// one length-N residue vector per coefficient prime. Cheap operations
 /// (add/sub/negate, Galois automorphisms) act per prime; multiplication goes
-/// through the per-prime NTT; exact lifts to wide integers are provided for
-/// the few places BFV genuinely needs them (tensor scaling, decryption,
-/// digit decomposition).
+/// through the per-prime NTT. The one exact lift to wide integers serves
+/// the noise-budget meter.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,10 +56,6 @@ public:
   /// Lifts every coefficient to its centered representative in
   /// (-Q/2, Q/2]. Requires coefficient form.
   std::vector<BigInt> liftCentered(const BfvContext &Ctx) const;
-
-  /// Lifts every coefficient to its canonical representative in [0, Q).
-  /// Requires coefficient form.
-  std::vector<BigInt> liftCanonical(const BfvContext &Ctx) const;
 
   bool isNtt() const { return Ntt; }
   size_t primeCount() const { return Residues.size(); }

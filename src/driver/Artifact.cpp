@@ -154,17 +154,6 @@ Expected<ArtifactData> driver::parseArtifact(const std::string &JsonText) {
   if (const json::Value *V = Doc.find("from_synthesis"))
     A.FromSynthesis = V->asBool();
 
-  if (const json::Value *P = Doc.find("params")) {
-    uint64_t Degree = 0, Bits = 0, Depth = 0;
-    if (P->isObject() && readUint(*P, "poly_degree", Degree) &&
-        readUint(*P, "coeff_modulus_bits", Bits) &&
-        readUint(*P, "mult_depth", Depth) && Degree > 0) {
-      A.HasParams = true;
-      A.Params.PolyDegree = static_cast<size_t>(Degree);
-      A.Params.CoeffModulusBits = static_cast<unsigned>(Bits);
-      A.Params.MultiplicativeDepth = static_cast<unsigned>(Depth);
-    }
-  }
   if (const json::Value *V = Doc.find("latency_us"))
     A.LatencyEstimateUs = V->asNumber();
   if (const json::Value *V = Doc.find("cost"))

@@ -10,7 +10,10 @@
 /// needs to execute it without re-synthesizing — kernel name, compile
 /// fingerprint, the canonical options key it was compiled under, execution
 /// parameters (plaintext modulus, seed), selected BFV parameters, cost
-/// figures, the emitted SEAL code, and pipeline notes.
+/// figures, the emitted SEAL code, and pipeline notes. The BFV parameters
+/// are written for readers only: loading recomputes them from the program,
+/// so an edited or stale artifact cannot report a ring the session does
+/// not run.
 ///
 /// Artifacts exist so Engines can warm-start from disk (`porcc compile
 /// --emit-artifact`, then `porcc run --artifact` / Engine::loadArtifact()
@@ -53,8 +56,6 @@ struct ArtifactData {
   uint64_t ExecutionSeed = 1;
   bool FromSynthesis = false;
   quill::Program Program;
-  bool HasParams = false;
-  ParameterChoice Params;
   double LatencyEstimateUs = 0.0;
   double Cost = 0.0;
   std::string SealCode;

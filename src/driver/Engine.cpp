@@ -448,16 +448,13 @@ Expected<Engine::KernelHandle> Engine::loadArtifact(const std::string &Path) {
   R.KernelName = Art->Kernel;
   R.Program = std::move(Art->Program);
   R.FromSynthesis = Art->FromSynthesis;
-  // Analyses are recomputed, never trusted from disk.
+  // Analyses and parameters are recomputed, never trusted from disk.
   R.Mix = quill::countInstructions(R.Program);
   R.Depth = quill::programDepth(R.Program);
   R.MultDepth = quill::programMultiplicativeDepth(R.Program);
+  R.Params = chooseParameters(R.Program);
   R.LatencyEstimateUs = Art->LatencyEstimateUs;
   R.Cost = Art->Cost;
-  if (Art->HasParams)
-    R.Params = Art->Params;
-  else
-    R.Params = chooseParameters(R.Program);
   R.SealCode = Art->SealCode;
   for (const std::string &Note : Art->Notes)
     R.Notes.push_back({Severity::Note, "artifact", Note});

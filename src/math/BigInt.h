@@ -90,8 +90,8 @@ public:
   uint64_t modWord(uint64_t M) const;
 
   /// Extracts the \p Index-th digit of \p Width bits from the magnitude
-  /// (little-endian digit order). Used for key-switching decomposition;
-  /// the value must be non-negative.
+  /// (little-endian digit order), as a power-of-two gadget decomposition
+  /// needs; the value must be non-negative.
   uint64_t digit(unsigned Index, unsigned Width) const;
 
   /// Converts to int64; the value must fit (asserted).

@@ -118,41 +118,3 @@ void NttTables::inverseTransform(std::vector<uint64_t> &Values) const {
   for (auto &V : Values)
     V = mulModShoup(V, NInv, NInvShoup, P);
 }
-
-std::vector<uint64_t>
-NttTables::multiply(const std::vector<uint64_t> &A,
-                    const std::vector<uint64_t> &B) const {
-  std::vector<uint64_t> FA = A, FB = B;
-  forwardTransform(FA);
-  forwardTransform(FB);
-  for (size_t I = 0; I < N; ++I)
-    FA[I] = Red.mulMod(FA[I], FB[I]);
-  inverseTransform(FA);
-  return FA;
-}
-
-std::vector<uint64_t>
-porcupine::naiveNegacyclicMultiply(const std::vector<uint64_t> &A,
-                                   const std::vector<uint64_t> &B,
-                                   uint64_t P) {
-  size_t N = A.size();
-  assert(B.size() == N && "length mismatch");
-  std::vector<uint64_t> Out(N, 0);
-  for (size_t I = 0; I < N; ++I) {
-    // Operands arrive as reduced residues; reduce once per row instead of
-    // re-reducing both factors inside the N^2 inner loop.
-    uint64_t AI = A[I] % P;
-    if (AI == 0)
-      continue;
-    uint64_t AShoup = shoupPrecompute(AI, P);
-    for (size_t J = 0; J < N; ++J) {
-      uint64_t Prod = mulModShoup(B[J], AI, AShoup, P);
-      size_t K = I + J;
-      if (K < N)
-        Out[K] = addMod(Out[K], Prod, P);
-      else // x^N = -1: wrap with sign flip.
-        Out[K - N] = subMod(Out[K - N], Prod, P);
-    }
-  }
-  return Out;
-}

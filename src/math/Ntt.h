@@ -43,11 +43,6 @@ public:
   /// the 1/N scaling).
   void inverseTransform(std::vector<uint64_t> &Values) const;
 
-  /// Negacyclic convolution: Out = A * B in Z_P[x]/(x^N + 1). Inputs are
-  /// coefficient vectors of length N and are left unmodified.
-  std::vector<uint64_t> multiply(const std::vector<uint64_t> &A,
-                                 const std::vector<uint64_t> &B) const;
-
   /// Barrett reducer for this prime, shared with callers doing their own
   /// pointwise products in the evaluation domain.
   const BarrettReducer &reducer() const { return Red; }
@@ -65,15 +60,10 @@ private:
   std::vector<uint64_t> InvPsiBitRevShoup;
   uint64_t NInv;
   uint64_t NInvShoup;
-  /// Division-free pointwise reduction mod P for the multiply() product
-  /// loop (both factors vary per slot, so Shoup pairs do not apply).
+  /// Division-free pointwise reduction mod P (both factors vary per slot,
+  /// so Shoup pairs do not apply).
   BarrettReducer Red;
 };
-
-/// Reference O(N^2) negacyclic convolution used as a test oracle.
-std::vector<uint64_t> naiveNegacyclicMultiply(const std::vector<uint64_t> &A,
-                                              const std::vector<uint64_t> &B,
-                                              uint64_t P);
 
 } // namespace porcupine
 

@@ -5,10 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Differential tests for the RNS-native BFV hot paths against the original
-/// wide-integer reference implementations, plus the invariants the lazy
-/// NTT-form discipline and the fast base converter must uphold. Randomized
-/// cases seed through porcupine::testSeed() so failures replay exactly.
+/// Differential tests for the RNS-native BFV hot paths against the
+/// wide-integer reference implementations in tests/oracle/, plus the
+/// invariants the lazy NTT-form discipline and the fast base converter must
+/// uphold. Randomized cases seed through porcupine::testSeed() so failures
+/// replay exactly.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +21,7 @@
 #include "bfv/KeyGenerator.h"
 #include "math/Crt.h"
 #include "math/ModArith.h"
+#include "oracle/Oracle.h"
 #include "support/Random.h"
 
 #include "TestSeed.h"
@@ -35,7 +37,7 @@ namespace {
 
 /// Parameters sized so the default decomposition width (one RNS digit per
 /// prime) is in effect and digits from one 40-bit prime can exceed another,
-/// covering the reduce-on-embed branch of keySwitchRns.
+/// covering the reduce-on-embed branch of Evaluator::keySwitch.
 BfvParams rnsParams() {
   BfvParams P;
   P.PolyDegree = 1024;
@@ -47,11 +49,8 @@ BfvParams rnsParams() {
 struct RnsFixture : public ::testing::Test {
   RnsFixture()
       : Ctx(rnsParams()), R(testSeed(0)), Keygen(Ctx, R),
-        Enc(Ctx, Keygen.createPublicKey(), R),
-        DecRns(Ctx, Keygen.secretKey(), /*UseRnsPath=*/true),
-        DecBig(Ctx, Keygen.secretKey(), /*UseRnsPath=*/false),
-        EvalRns(Ctx, /*UseRnsHotPath=*/true),
-        EvalBig(Ctx, /*UseRnsHotPath=*/false), Encoder(Ctx) {}
+        Enc(Ctx, Keygen.createPublicKey(), R), DecRns(Ctx, Keygen.secretKey()),
+        EvalRns(Ctx), Encoder(Ctx) {}
 
   std::vector<uint64_t> randomSlots() {
     return R.vectorBelow(Ctx.plainModulus(), Ctx.polyDegree());
@@ -61,14 +60,17 @@ struct RnsFixture : public ::testing::Test {
     return Enc.encrypt(Encoder.encode(Slots));
   }
 
+  /// The BigInt reference decryption under the fixture's secret key.
+  Plaintext decBig(const Ciphertext &Ct) {
+    return oracle::decrypt(Ctx, Keygen.secretKey(), Ct);
+  }
+
   BfvContext Ctx;
   Rng R;
   KeyGenerator Keygen;
   Encryptor Enc;
   Decryptor DecRns;
-  Decryptor DecBig;
   Evaluator EvalRns;
-  Evaluator EvalBig;
   BatchEncoder Encoder;
 };
 
@@ -83,7 +85,7 @@ TEST_F(RnsFixture, MultiplyMatchesBigIntOracle) {
     auto CtU = encryptSlots(U), CtV = encryptSlots(V);
 
     Ciphertext ProdRns = EvalRns.multiply(CtU, CtV);
-    Ciphertext ProdBig = EvalBig.multiply(CtU, CtV);
+    Ciphertext ProdBig = oracle::multiply(Ctx, CtU, CtV);
 
     // The two tensor pipelines may differ by scheme noise in the ciphertext
     // bits, but both decryptors must read back the same plaintext bytes
@@ -95,21 +97,22 @@ TEST_F(RnsFixture, MultiplyMatchesBigIntOracle) {
       return W;
     }());
     EXPECT_EQ(DecRns.decrypt(ProdRns), Expected);
-    EXPECT_EQ(DecBig.decrypt(ProdRns), Expected);
+    EXPECT_EQ(decBig(ProdRns), Expected);
     EXPECT_EQ(DecRns.decrypt(ProdBig), Expected);
-    EXPECT_EQ(DecBig.decrypt(ProdBig), Expected);
+    EXPECT_EQ(decBig(ProdBig), Expected);
   }
 }
 
 TEST_F(RnsFixture, RelinearizeMatchesAcrossGadgets) {
   SeedReporter Report(testSeedBase());
-  RelinKeys RlkRns = Keygen.createRelinKeys(GadgetKind::RnsPerPrime);
-  RelinKeys RlkBig = Keygen.createRelinKeys(GadgetKind::PowerOfTwo);
+  RelinKeys RlkRns = Keygen.createRelinKeys();
+  oracle::PowerOfTwoKey RlkBig =
+      oracle::createRelinKey(Ctx, Keygen.secretKey(), R);
   auto U = randomSlots(), V = randomSlots();
   Ciphertext Prod = EvalRns.multiply(encryptSlots(U), encryptSlots(V));
 
   Ciphertext ViaRns = EvalRns.relinearize(Prod, RlkRns);
-  Ciphertext ViaBig = EvalBig.relinearize(Prod, RlkBig);
+  Ciphertext ViaBig = oracle::relinearize(Ctx, Prod, RlkBig);
   ASSERT_EQ(ViaRns.size(), 2u);
   ASSERT_EQ(ViaBig.size(), 2u);
 
@@ -123,10 +126,9 @@ TEST_F(RnsFixture, RelinearizeMatchesAcrossGadgets) {
 TEST_F(RnsFixture, RotationMatchesAcrossGadgets) {
   SeedReporter Report(testSeedBase());
   std::vector<int> Steps = {1, -1, 3};
-  GaloisKeys GkRns = Keygen.createGaloisKeys(Steps, /*IncludeColumnSwap=*/false,
-                                             GadgetKind::RnsPerPrime);
-  GaloisKeys GkBig = Keygen.createGaloisKeys(Steps, /*IncludeColumnSwap=*/false,
-                                             GadgetKind::PowerOfTwo);
+  GaloisKeys GkRns = Keygen.createGaloisKeys(Steps);
+  oracle::PowerOfTwoGaloisKeys GkBig =
+      oracle::createGaloisKeys(Ctx, Keygen.secretKey(), Steps, R);
   auto U = randomSlots();
   Ciphertext Ct = encryptSlots(U);
   size_t Row = Encoder.rowSize();
@@ -142,8 +144,9 @@ TEST_F(RnsFixture, RotationMatchesAcrossGadgets) {
     }
     EXPECT_EQ(Encoder.decode(DecRns.decrypt(EvalRns.rotateRows(Ct, S, GkRns))),
               Expected);
-    EXPECT_EQ(Encoder.decode(DecRns.decrypt(EvalBig.rotateRows(Ct, S, GkBig))),
-              Expected);
+    EXPECT_EQ(
+        Encoder.decode(DecRns.decrypt(oracle::rotateRows(Ctx, Ct, S, GkBig))),
+        Expected);
   }
 }
 
@@ -162,35 +165,34 @@ TEST_F(RnsFixture, DecryptorsAgreeByteForByte) {
       EvalRns.multiply(A, B),
   };
   for (const Ciphertext &Ct : Steps)
-    EXPECT_EQ(DecRns.decrypt(Ct), DecBig.decrypt(Ct));
+    EXPECT_EQ(DecRns.decrypt(Ct), decBig(Ct));
 }
 
 TEST_F(RnsFixture, DotProductShapedChainMatchesBigIntOracle) {
   SeedReporter Report(testSeedBase());
   // The Dot Product kernel's shape — multiply, relinearize, then a
-  // rotate-and-add reduction tree — executed end to end on both paths
-  // with their native gadget kinds. This is the per-kernel differential
-  // oracle in miniature: every hot-path op class in one chain.
-  RelinKeys RlkRns = Keygen.createRelinKeys(GadgetKind::RnsPerPrime);
-  RelinKeys RlkBig = Keygen.createRelinKeys(GadgetKind::PowerOfTwo);
+  // rotate-and-add reduction tree — executed end to end on the runtime and
+  // on the oracle, each with its own gadget. This is the per-kernel
+  // differential oracle in miniature: every hot-path op class in one chain.
+  // Additions have a single implementation, shared by both chains.
+  RelinKeys RlkRns = Keygen.createRelinKeys();
+  oracle::PowerOfTwoKey RlkBig =
+      oracle::createRelinKey(Ctx, Keygen.secretKey(), R);
   std::vector<int> Steps = {1, 2, 4};
-  GaloisKeys GkRns = Keygen.createGaloisKeys(Steps, /*IncludeColumnSwap=*/false,
-                                             GadgetKind::RnsPerPrime);
-  GaloisKeys GkBig = Keygen.createGaloisKeys(Steps, /*IncludeColumnSwap=*/false,
-                                             GadgetKind::PowerOfTwo);
+  GaloisKeys GkRns = Keygen.createGaloisKeys(Steps);
+  oracle::PowerOfTwoGaloisKeys GkBig =
+      oracle::createGaloisKeys(Ctx, Keygen.secretKey(), Steps, R);
 
   auto U = randomSlots(), V = randomSlots();
   Ciphertext CtU = encryptSlots(U), CtV = encryptSlots(V);
 
-  auto RunChain = [&](const Evaluator &Eval, const RelinKeys &Rlk,
-                      const GaloisKeys &Gk) {
-    Ciphertext Acc = Eval.relinearize(Eval.multiply(CtU, CtV), Rlk);
-    for (int S : {4, 2, 1})
-      Acc = Eval.add(Acc, Eval.rotateRows(Acc, S, Gk));
-    return Acc;
-  };
-  Ciphertext OutRns = RunChain(EvalRns, RlkRns, GkRns);
-  Ciphertext OutBig = RunChain(EvalBig, RlkBig, GkBig);
+  Ciphertext OutRns = EvalRns.relinearize(EvalRns.multiply(CtU, CtV), RlkRns);
+  for (int S : {4, 2, 1})
+    OutRns = EvalRns.add(OutRns, EvalRns.rotateRows(OutRns, S, GkRns));
+  Ciphertext OutBig =
+      oracle::relinearize(Ctx, oracle::multiply(Ctx, CtU, CtV), RlkBig);
+  for (int S : {4, 2, 1})
+    OutBig = EvalRns.add(OutBig, oracle::rotateRows(Ctx, OutBig, S, GkBig));
 
   // Plaintext reference: slot-wise product folded by the same rotations.
   uint64_t T = Ctx.plainModulus();
@@ -209,9 +211,9 @@ TEST_F(RnsFixture, DotProductShapedChainMatchesBigIntOracle) {
   }
 
   EXPECT_EQ(Encoder.decode(DecRns.decrypt(OutRns)), Ref);
-  EXPECT_EQ(Encoder.decode(DecBig.decrypt(OutRns)), Ref);
+  EXPECT_EQ(Encoder.decode(decBig(OutRns)), Ref);
   EXPECT_EQ(Encoder.decode(DecRns.decrypt(OutBig)), Ref);
-  EXPECT_EQ(DecRns.decrypt(OutRns), DecBig.decrypt(OutRns));
+  EXPECT_EQ(DecRns.decrypt(OutRns), decBig(OutRns));
 }
 
 TEST_F(RnsFixture, MaxPlainValuesSurviveMultiply) {
@@ -222,7 +224,7 @@ TEST_F(RnsFixture, MaxPlainValuesSurviveMultiply) {
   Ciphertext Prod = EvalRns.multiply(Ct, Ct);
   std::vector<uint64_t> Expected(Ctx.polyDegree(), 1);
   EXPECT_EQ(Encoder.decode(DecRns.decrypt(Prod)), Expected);
-  EXPECT_EQ(Encoder.decode(DecBig.decrypt(Prod)), Expected);
+  EXPECT_EQ(Encoder.decode(decBig(Prod)), Expected);
 }
 
 //===----------------------------------------------------------------------===//

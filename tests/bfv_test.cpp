@@ -10,7 +10,7 @@
 #include "bfv/Encryptor.h"
 #include "bfv/Evaluator.h"
 #include "bfv/KeyGenerator.h"
-#include "math/Ntt.h"
+#include "oracle/Oracle.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
@@ -91,8 +91,8 @@ TEST_F(BfvFixture, EncodedPolyMultIsSlotwiseProduct) {
   // The whole point of batching: ring multiplication = slot-wise product.
   auto U = randomSlots(256), V = randomSlots(256);
   Plaintext PU = Encoder.encode(U), PV = Encoder.encode(V);
-  auto Product = naiveNegacyclicMultiply(PU.Coeffs, PV.Coeffs,
-                                         Ctx.plainModulus());
+  auto Product = oracle::naiveNegacyclicMultiply(PU.Coeffs, PV.Coeffs,
+                                                 Ctx.plainModulus());
   auto Slots = Encoder.decode(Plaintext(Product));
   for (size_t I = 0; I < U.size(); ++I)
     EXPECT_EQ(Slots[I], U[I] * V[I] % Ctx.plainModulus());

@@ -435,6 +435,42 @@ TEST(Artifact, SaveLoadExecuteRoundTrip) {
   std::remove(Path.c_str());
 }
 
+TEST(Artifact, RecordedParametersAreRecomputedOnLoad) {
+  // The BFV session sizes its ring from the program's depth, so the loaded
+  // kernel must report exactly that choice, whatever the file claims.
+  CompileOptions Opts = bundledOptions();
+  Engine E(EngineOptions{4, 1, Opts});
+  auto K = E.get("dot product");
+  ASSERT_TRUE(K.hasValue()) << K.status().toString();
+  std::string Doc = renderArtifact((*K)->result(), (*K)->options());
+  size_t Begin = Doc.find("\"params\": {");
+  ASSERT_NE(Begin, std::string::npos);
+  size_t End = Doc.find('}', Begin);
+  ASSERT_NE(End, std::string::npos);
+  Doc.replace(Begin, End + 1 - Begin,
+              "\"params\": {\"poly_degree\": 1024, "
+              "\"coeff_modulus_bits\": 27, \"mult_depth\": 0}");
+
+  const std::string Path = "engine_test_stale_params.tmp.json";
+  {
+    std::FILE *F = std::fopen(Path.c_str(), "wb");
+    ASSERT_TRUE(F != nullptr);
+    std::fwrite(Doc.data(), 1, Doc.size(), F);
+    std::fclose(F);
+  }
+  Engine Fresh(EngineOptions{4, 1, Opts});
+  auto L = Fresh.loadArtifact(Path);
+  std::remove(Path.c_str());
+  ASSERT_TRUE(L.hasValue()) << L.status().toString();
+
+  ParameterChoice Ladder = chooseParameters((*L)->program());
+  const ParameterChoice &Loaded = (*L)->result().Params;
+  EXPECT_EQ(Loaded.MultiplicativeDepth, 1u);
+  EXPECT_EQ(Loaded.PolyDegree, Ladder.PolyDegree);
+  EXPECT_EQ(Loaded.CoeffModulusBits, Ladder.CoeffModulusBits);
+  EXPECT_EQ(Loaded.MultiplicativeDepth, Ladder.MultiplicativeDepth);
+}
+
 TEST(Artifact, NastyKernelNamesSurviveTheJsonRoundTrip) {
   CompileResult R;
   R.KernelName = "evil \"name\"\\with\nnewline\tand\x01control";

@@ -145,11 +145,11 @@ for BACKEND in bfv dryrun; do
 done
 
 # Optimizer pipeline cost records: two `porcc opt --json` records per
-# registry kernel (names derived from `porcc list`, skipping the
-# multi-step apps) — one under the default pipeline, one with the eqsat
-# superoptimizer appended. Each record carries its pipeline string, so
-# bench_compare.py can key on (kernel, pipeline), gate that no pass ever
-# raises cost, and gate that eqsat never loses to the default pipeline.
+# registry kernel (names derived from `porcc list`) — one under the
+# default pipeline, one with the eqsat superoptimizer appended. Each record
+# carries its pipeline string, so bench_compare.py can key on (kernel,
+# pipeline), gate that no pass ever raises cost, and gate that eqsat never
+# loses to the default pipeline.
 # Cost-model numbers are host-independent, so these gates are always
 # armed.
 echo "== optimizer pipeline (porcc opt)"
@@ -157,7 +157,6 @@ echo "== optimizer pipeline (porcc opt)"
 EQSAT_PIPELINE="peephole,cse,constfold,lazy-relin,rot-dedup,eqsat"
 "$BUILD_DIR/tools/porcc" list \
   | sed -n '2,$p' \
-  | grep -v '(multi-step)' \
   | sed -E 's/[[:space:]]{2,}.*$//' \
   | while IFS= read -r KERNEL; do
       [ -n "$KERNEL" ] || continue

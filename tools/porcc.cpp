@@ -10,8 +10,7 @@
 /// parses flags, forwards to the driver, and prints results/diagnostics.
 ///
 ///   porcc list
-///       List the registered kernels (builtin registry) and the multi-step
-///       applications.
+///       List the registered kernels (builtin registry).
 ///   porcc compile <kernel|file.porc> [--json] [--from-bundle] [--timeout S]
 ///                 [--no-optimize] [--explicit-rot] [--pipeline STR]
 ///                 [--function NAME] [--emit-artifact FILE]
@@ -73,7 +72,6 @@
 #include "driver/Engine.h"
 #include "driver/Server.h"
 #include "frontend/Frontend.h"
-#include "kernels/Kernels.h"
 #include "math/ModArith.h"
 #include "quill/Analysis.h"
 #include "quill/Passes.h"
@@ -290,11 +288,6 @@ int cmdList() {
                 (*B)->Spec.numInputs(), (*B)->Spec.vectorSize(),
                 (*B)->Spec.layout().Description.c_str());
   }
-  std::printf("%-24s %6d %7zu %s\n", "Sobel (multi-step)", 1,
-              ImageGeom::Slots, sobelApp().Spec.layout().Description.c_str());
-  std::printf("%-24s %6d %7zu %s\n", "Harris (multi-step)", 1,
-              ImageGeom::Slots,
-              harrisApp().Spec.layout().Description.c_str());
   return 0;
 }
 
