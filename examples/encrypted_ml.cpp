@@ -82,7 +82,7 @@ int main() {
   auto Y = RT->decrypt(*Out, 4);
   std::printf("server evaluated the model homomorphically in %.1f ms "
               "(noise budget left: %.1f bits)\n\n",
-              Ms, RT->noiseBudget(*Out));
+              Ms, RT->executor().noiseBudget(*Out));
   bool Ok = true;
   for (size_t I = 0; I < 4; ++I) {
     uint64_t Expect = 3 * X[I] * X[I] + 5 * X[I] + 7;

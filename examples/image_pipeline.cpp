@@ -99,7 +99,7 @@ int main() {
   }
   std::printf("cloud returned one ciphertext; noise budget left: %.1f "
               "bits\n\n",
-              RT->noiseBudget(*EncOut));
+              RT->executor().noiseBudget(*EncOut));
 
   auto Out = RT->decrypt(*EncOut, ImageGeom::Slots);
   printImage("decrypted Sobel response (gx^2 + gy^2, interior):", Out, T);

@@ -77,7 +77,7 @@ int main() {
   std::printf("encrypted Hamming distance([1 0 1 1], [1 1 1 0]) = %llu "
               "(expect 2), noise budget %.1f bits\n",
               static_cast<unsigned long long>(Ham[0]),
-              RT->noiseBudget(*HamOut));
+              RT->executor().noiseBudget(*HamOut));
 
   // 8-dimensional feature vectors (squared L2).
   std::vector<uint64_t> FeatA = {10, 20, 30, 40, 50, 60, 70, 80};
@@ -103,7 +103,7 @@ int main() {
               "budget %.1f bits\n",
               static_cast<unsigned long long>(Dist[0]),
               static_cast<unsigned long long>(Expect),
-              RT->noiseBudget(*L2Out));
+              RT->executor().noiseBudget(*L2Out));
 
   return (Ham[0] == 2 && Dist[0] == Expect) ? 0 : 1;
 }

@@ -131,11 +131,3 @@ std::vector<uint64_t> BatchPlan::slice(const std::vector<uint64_t> &RowOut,
   }
   return Out;
 }
-
-std::vector<uint64_t> BatchPlan::maskOnly(std::vector<uint64_t> Out) const {
-  Out.resize(Window, 0);
-  for (size_t J = 0; J < Window; ++J)
-    if (!Mask[J])
-      Out[J] = 0;
-  return Out;
-}

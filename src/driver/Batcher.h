@@ -24,10 +24,12 @@
 ///     slots across window boundaries, which is why only masked slots are
 ///     (and may be) trusted.
 ///
-/// A kernel that fails either check gets capacity 1 and the server falls
-/// back to one-request-per-ciphertext; batching is an optimization, never
-/// a semantics change. pack()/slice() implement the window layout used
-/// with CompiledKernel::executePacked().
+/// A kernel that fails either check gets capacity 1: the server then
+/// packs one request per ciphertext, at window 0, through the same
+/// pack() -> CompiledKernel::executePacked() -> slice() path, which at
+/// window 0 computes exactly what CompiledKernel::execute() does. Batching
+/// is an optimization, never a semantics change, and every response is
+/// masked by slice() whether or not it shared a ciphertext.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -79,11 +81,6 @@ public:
   /// carry cross-window scratch under batching).
   std::vector<uint64_t> slice(const std::vector<uint64_t> &RowOut,
                               size_t Index) const;
-
-  /// Applies the same unconstrained-slot zeroing to a plain VectorSize
-  /// output (the unbatched path), so responses are identical whether or
-  /// not a request was batched.
-  std::vector<uint64_t> maskOnly(std::vector<uint64_t> Out) const;
 
 private:
   size_t Capacity = 1;

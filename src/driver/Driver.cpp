@@ -277,48 +277,15 @@ Compiler::instantiate(const std::vector<const quill::Program *> &Programs,
 Expected<ExecuteOutcome>
 Compiler::execute(const quill::Program &P,
                   const std::vector<std::vector<uint64_t>> &Inputs) const {
-  Status S = validateProgram(P, "execute");
+  // Reject bad input before key generation, the expensive part of a
+  // one-shot call; instantiate() validates P.
+  Status S = Runtime::checkInputShape(P, Inputs, P.VectorSize);
   if (!S)
     return S;
-  if (static_cast<int>(Inputs.size()) != P.NumInputs)
-    return Status::error("execute",
-                         "program takes " + std::to_string(P.NumInputs) +
-                             " input vector(s) but got " +
-                             std::to_string(Inputs.size()));
-  std::vector<std::vector<uint64_t>> Padded = Inputs;
-  for (std::vector<uint64_t> &V : Padded) {
-    if (V.size() > P.VectorSize)
-      return Status::error("execute",
-                           "input vector of width " +
-                               std::to_string(V.size()) +
-                               " exceeds the program's vector size " +
-                               std::to_string(P.VectorSize));
-    V.resize(P.VectorSize, 0);
-  }
-
   auto RT = instantiate({&P});
   if (!RT)
     return RT.status();
-  std::vector<backend::Value> Enc;
-  for (const std::vector<uint64_t> &V : Padded) {
-    auto Ct = RT->encrypt(V);
-    if (!Ct)
-      return Ct.status();
-    Enc.push_back(Ct.take());
-  }
-  double ChargedBefore = RT->executor().chargedLatencyUs();
-  auto Ct = RT->run(P, Enc);
-  if (!Ct)
-    return Ct.status();
-  ExecuteOutcome Out;
-  Out.Outputs = RT->decrypt(*Ct, P.VectorSize);
-  Out.Encrypted = RT->capabilities().Encrypted;
-  if (RT->capabilities().ReportsNoiseBudget)
-    Out.NoiseBudgetBits = RT->noiseBudget(*Ct);
-  if (Out.Encrypted)
-    Out.PolyDegree = RT->polyDegree();
-  Out.ChargedLatencyUs = RT->executor().chargedLatencyUs() - ChargedBefore;
-  return Out;
+  return RT->execute(P, Inputs, P.VectorSize);
 }
 
 Expected<VerifyOutcome> Compiler::verify(const quill::Program &P,
@@ -552,8 +519,70 @@ std::vector<uint64_t> Runtime::decrypt(const backend::Value &V,
   return Exec->decrypt(V, Width);
 }
 
-double Runtime::noiseBudget(const backend::Value &V) const {
-  return Exec->noiseBudget(V);
+Status
+Runtime::checkInputShape(const quill::Program &P,
+                         const std::vector<std::vector<uint64_t>> &Inputs,
+                         size_t Width) {
+  if (static_cast<int>(Inputs.size()) != P.NumInputs)
+    return Status::error("execute",
+                         "program takes " + std::to_string(P.NumInputs) +
+                             " input vector(s) but got " +
+                             std::to_string(Inputs.size()));
+  for (const std::vector<uint64_t> &V : Inputs)
+    if (V.size() > Width)
+      return Status::error("execute", "input vector of width " +
+                                          std::to_string(V.size()) +
+                                          " exceeds the call width of " +
+                                          std::to_string(Width) + " slots");
+  return Status::success();
+}
+
+Expected<ExecuteOutcome>
+Runtime::execute(const quill::Program &P,
+                 const std::vector<std::vector<uint64_t>> &Inputs,
+                 size_t Width) const {
+  Status S = checkInputShape(P, Inputs, Width);
+  if (!S)
+    return S;
+  std::vector<backend::Value> Enc;
+  Enc.reserve(Inputs.size());
+  for (const std::vector<uint64_t> &V : Inputs) {
+    auto Ct = encrypt(V);
+    if (!Ct)
+      return Ct.status();
+    Enc.push_back(Ct.take());
+  }
+  double ChargedBefore = Exec->chargedLatencyUs();
+  auto Ct = run(P, Enc);
+  if (!Ct)
+    return Ct.status();
+
+  ExecuteOutcome Out;
+  Out.Encrypted = Caps.Encrypted;
+  if (Out.Encrypted)
+    Out.PolyDegree = polyDegree();
+  if (Caps.ReportsNoiseBudget) {
+    // Once the noise passes the decryption threshold the slots decrypt to
+    // garbage, and returning them would be a silent wrong answer. The
+    // budget is counted in whole bits, as SEAL reports it: the fractional
+    // measure cannot fall below 0 (the noise wraps modulo Q), so an
+    // exhausted ciphertext reads as a sliver of a bit, not as 0.
+    Out.NoiseBudgetBits = Exec->noiseBudget(*Ct);
+    if (Out.NoiseBudgetBits < 1.0) {
+      char Bits[32];
+      std::snprintf(Bits, sizeof(Bits), "%.1f", Out.NoiseBudgetBits);
+      return Status::error(
+          "execute",
+          "noise budget exhausted: " + std::string(Bits) +
+              " bits left (under 1 whole bit) at N=" +
+              std::to_string(polyDegree()) + " after multiplicative depth " +
+              std::to_string(quill::programMultiplicativeDepth(P)) +
+              "; the decrypted result cannot be trusted");
+    }
+  }
+  Out.Outputs = Exec->decrypt(*Ct, Width);
+  Out.ChargedLatencyUs = Exec->chargedLatencyUs() - ChargedBefore;
+  return Out;
 }
 
 //===----------------------------------------------------------------------===//

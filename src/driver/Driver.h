@@ -228,10 +228,12 @@ struct OptimizeOutcome {
 
 /// execute() stage output.
 struct ExecuteOutcome {
-  /// Decrypted (or interpreted) output slots, width = program VectorSize.
+  /// Decrypted (or interpreted) output slots: the program's VectorSize,
+  /// or the whole batching row for CompiledKernel::executePacked().
   std::vector<uint64_t> Outputs;
   bool Encrypted = false;
-  /// Remaining invariant noise budget in bits (encrypted runs only).
+  /// Remaining invariant noise budget in bits (encrypted runs only; a run
+  /// that exhausts it fails instead of returning an outcome).
   double NoiseBudgetBits = 0.0;
   /// Ring dimension of the context the run used (encrypted runs only).
   size_t PolyDegree = 0;
@@ -272,9 +274,26 @@ public:
   /// Decrypts the first \p Width slots of a result.
   std::vector<uint64_t> decrypt(const backend::Value &V, size_t Width) const;
 
-  /// Remaining invariant noise budget of a value, in bits (0 on backends
-  /// whose capabilities().ReportsNoiseBudget is false).
-  double noiseBudget(const backend::Value &V) const;
+  /// The one end-to-end evaluation every driver entry point shares
+  /// (Compiler::execute, CompiledKernel::execute/executeMany/executePacked,
+  /// hence the Server and `porcc run`): checks \p Inputs with
+  /// checkInputShape(), encrypts each vector (backends zero-fill it to the
+  /// batching row), runs \p P, and decrypts the first \p Width slots with
+  /// the noise budget, ring degree and charged latency filled in. On a
+  /// backend that reports a noise budget, a result with less than one
+  /// whole bit left (SEAL reports that as 0) is an error, never a success:
+  /// its slots cannot be trusted to decrypt right.
+  Expected<ExecuteOutcome>
+  execute(const quill::Program &P,
+          const std::vector<std::vector<uint64_t>> &Inputs,
+          size_t Width) const;
+
+  /// The input-shape rule of execute(), usable before a runtime exists:
+  /// one vector per program input, each at most \p Width slots wide.
+  static Status
+  checkInputShape(const quill::Program &P,
+                  const std::vector<std::vector<uint64_t>> &Inputs,
+                  size_t Width);
 
   /// The backend session, by interface.
   const backend::Executor &executor() const { return *Exec; }
@@ -385,7 +404,8 @@ public:
   /// One-shot end-to-end run of \p P on \p Inputs (one vector per program
   /// input, each at most VectorSize wide; values taken mod the plaintext
   /// modulus) on the options' backend — encrypted on "bfv"/"seal",
-  /// plaintext-with-charged-cost on "dryrun".
+  /// plaintext-with-charged-cost on "dryrun": instantiate() plus
+  /// Runtime::execute() at VectorSize, so an exhausted noise budget fails.
   Expected<ExecuteOutcome>
   execute(const quill::Program &P,
           const std::vector<std::vector<uint64_t>> &Inputs) const;

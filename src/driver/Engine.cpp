@@ -22,7 +22,6 @@
 
 #include "driver/Engine.h"
 
-#include "bfv/BfvContext.h"
 #include "driver/Artifact.h"
 #include "quill/Analysis.h"
 
@@ -94,82 +93,25 @@ Expected<CompiledKernel::RuntimeLease> CompiledKernel::acquireRuntime() const {
 // CompiledKernel: execution
 //===----------------------------------------------------------------------===//
 
-Status CompiledKernel::checkInputs(
-    const std::vector<std::vector<uint64_t>> &Inputs) const {
-  const quill::Program &P = Result.Program;
-  if (static_cast<int>(Inputs.size()) != P.NumInputs)
-    return Status::error("execute",
-                         "kernel '" + Result.KernelName + "' takes " +
-                             std::to_string(P.NumInputs) +
-                             " input vector(s) but got " +
-                             std::to_string(Inputs.size()));
-  for (const std::vector<uint64_t> &V : Inputs)
-    if (V.size() > P.VectorSize)
-      return Status::error("execute",
-                           "input vector of width " +
-                               std::to_string(V.size()) +
-                               " exceeds the kernel's vector size " +
-                               std::to_string(P.VectorSize));
-  return Status::success();
-}
-
-Status CompiledKernel::padInputs(
-    std::vector<std::vector<uint64_t>> &Inputs) const {
-  Status S = checkInputs(Inputs);
-  if (!S)
-    return S;
-  for (std::vector<uint64_t> &V : Inputs)
-    V.resize(Result.Program.VectorSize, 0);
-  return Status::success();
-}
-
-Expected<ExecuteOutcome>
-CompiledKernel::runOn(Runtime &RT,
-                      const std::vector<std::vector<uint64_t>> &Padded) const {
-  std::vector<backend::Value> Enc;
-  Enc.reserve(Padded.size());
-  for (const std::vector<uint64_t> &V : Padded) {
-    auto Ct = RT.encrypt(V);
-    if (!Ct)
-      return Ct.status();
-    Enc.push_back(Ct.take());
-  }
-  double ChargedBefore = RT.executor().chargedLatencyUs();
-  auto Ct = RT.run(Result.Program, Enc);
-  if (!Ct)
-    return Ct.status();
-  ExecuteOutcome Out;
-  Out.Outputs = RT.decrypt(*Ct, Result.Program.VectorSize);
-  Out.Encrypted = RT.capabilities().Encrypted;
-  if (RT.capabilities().ReportsNoiseBudget)
-    Out.NoiseBudgetBits = RT.noiseBudget(*Ct);
-  if (Out.Encrypted)
-    Out.PolyDegree = RT.polyDegree();
-  Out.ChargedLatencyUs = RT.executor().chargedLatencyUs() - ChargedBefore;
-  return Out;
-}
-
 Expected<ExecuteOutcome>
 CompiledKernel::execute(const std::vector<std::vector<uint64_t>> &Inputs)
     const {
-  std::vector<std::vector<uint64_t>> Padded = Inputs;
-  Status S = padInputs(Padded);
-  if (!S)
-    return S;
   auto Lease = acquireRuntime();
   if (!Lease)
     return Lease.status();
-  return runOn(Lease->runtime(), Padded);
+  return Lease->runtime().execute(Result.Program, Inputs,
+                                  Result.Program.VectorSize);
 }
 
 Expected<std::vector<ExecuteOutcome>> CompiledKernel::executeMany(
     const std::vector<std::vector<std::vector<uint64_t>>> &Batch) const {
   std::vector<ExecuteOutcome> Outcomes;
   Outcomes.reserve(Batch.size());
-  // Validate the whole batch (no copies) before touching the pool so a bad
-  // item fails fast and atomically — no partial encrypted work.
+  // Validate the whole batch before touching the pool so a bad item fails
+  // fast and atomically — no partial encrypted work.
   for (size_t I = 0; I < Batch.size(); ++I) {
-    Status S = checkInputs(Batch[I]);
+    Status S = Runtime::checkInputShape(Result.Program, Batch[I],
+                                        Result.Program.VectorSize);
     if (!S) {
       Status Tagged = Status::error(
           "execute", "batch item " + std::to_string(I) + " is malformed");
@@ -184,13 +126,8 @@ Expected<std::vector<ExecuteOutcome>> CompiledKernel::executeMany(
   if (!Lease)
     return Lease.status();
   for (size_t I = 0; I < Batch.size(); ++I) {
-    // Pad one call at a time: peak extra memory is a single input set, not
-    // a second copy of the whole batch.
-    std::vector<std::vector<uint64_t>> Padded = Batch[I];
-    Status PS = padInputs(Padded);
-    assert(PS.ok() && "checkInputs passed; padding cannot fail");
-    (void)PS;
-    auto Out = runOn(Lease->runtime(), Padded);
+    auto Out = Lease->runtime().execute(Result.Program, Batch[I],
+                                        Result.Program.VectorSize);
     if (!Out) {
       Status S = Status::error("execute",
                                "batch item " + std::to_string(I) + " failed");
@@ -203,59 +140,18 @@ Expected<std::vector<ExecuteOutcome>> CompiledKernel::executeMany(
 }
 
 size_t CompiledKernel::packedRowWidth() const {
-  int Depth = quill::programMultiplicativeDepth(Result.Program);
-  return BfvContext::paramsForMultDepth(Depth < 0 ? 0
-                                                  : static_cast<unsigned>(Depth))
-             .PolyDegree /
-         2;
+  return chooseParameters(Result.Program).PolyDegree / 2;
 }
 
 Expected<ExecuteOutcome> CompiledKernel::executePacked(
     const std::vector<std::vector<uint64_t>> &PackedInputs) const {
-  const quill::Program &P = Result.Program;
-  if (static_cast<int>(PackedInputs.size()) != P.NumInputs)
-    return Status::error("execute",
-                         "kernel '" + Result.KernelName + "' takes " +
-                             std::to_string(P.NumInputs) +
-                             " input vector(s) but got " +
-                             std::to_string(PackedInputs.size()));
-  const size_t Row = packedRowWidth();
-  for (const std::vector<uint64_t> &V : PackedInputs)
-    if (V.size() > Row)
-      return Status::error("execute",
-                           "packed input of width " +
-                               std::to_string(V.size()) +
-                               " exceeds the batching row of " +
-                               std::to_string(Row) + " slots");
   auto Lease = acquireRuntime();
   if (!Lease)
     return Lease.status();
   Runtime &RT = Lease->runtime();
-  assert(RT.slotCount() == Row &&
+  assert(RT.slotCount() == packedRowWidth() &&
          "packedRowWidth disagrees with the instantiated parameters");
-  std::vector<backend::Value> Enc;
-  Enc.reserve(PackedInputs.size());
-  for (const std::vector<uint64_t> &V : PackedInputs) {
-    // Runtime::encrypt packs any vector up to the slot count; shorter rows
-    // zero-fill, exactly like the per-request path zero-pads.
-    auto Ct = RT.encrypt(V);
-    if (!Ct)
-      return Ct.status();
-    Enc.push_back(Ct.take());
-  }
-  double ChargedBefore = RT.executor().chargedLatencyUs();
-  auto Ct = RT.run(P, Enc);
-  if (!Ct)
-    return Ct.status();
-  ExecuteOutcome Out;
-  Out.Outputs = RT.decrypt(*Ct, Row);
-  Out.Encrypted = RT.capabilities().Encrypted;
-  if (RT.capabilities().ReportsNoiseBudget)
-    Out.NoiseBudgetBits = RT.noiseBudget(*Ct);
-  if (Out.Encrypted)
-    Out.PolyDegree = RT.polyDegree();
-  Out.ChargedLatencyUs = RT.executor().chargedLatencyUs() - ChargedBefore;
-  return Out;
+  return RT.execute(Result.Program, PackedInputs, RT.slotCount());
 }
 
 //===----------------------------------------------------------------------===//

@@ -82,9 +82,10 @@ public:
 
   /// One evaluation on the backend the kernel was compiled for
   /// (options().Backend — baked into the cache key, so one kernel never
-  /// serves two backends): encrypt the inputs (one vector per program
-  /// input, each at most VectorSize wide, zero-padded), run, decrypt.
-  /// Thread-safe.
+  /// serves two backends): Runtime::execute() at VectorSize on a pooled
+  /// runtime — encrypt the inputs (one vector per program input, each at
+  /// most VectorSize wide, zero-padded), run, decrypt. An exhausted noise
+  /// budget is an error. Thread-safe.
   Expected<ExecuteOutcome>
   execute(const std::vector<std::vector<uint64_t>> &Inputs) const;
 
@@ -105,14 +106,17 @@ public:
   /// every slot of the batching row regardless of the program's VectorSize
   /// — so one call serves packedRowWidth()/VectorSize requests. The
   /// outcome's Outputs carry the full decrypted row for the caller to
-  /// slice. Only sound for programs Batcher::BatchPlan judged batchable
+  /// slice. This is Runtime::execute() at the row width on a pooled
+  /// runtime, so it fails the same way execute() does. Sound for any
+  /// program when one request sits at window 0: execute() also runs over
+  /// the whole zero-filled row, so the first VectorSize outputs agree.
+  /// Several requests need a program Batcher::BatchPlan judged batchable
   /// (splat constants, masked-slot validation). Thread-safe.
   Expected<ExecuteOutcome>
   executePacked(const std::vector<std::vector<uint64_t>> &PackedInputs) const;
 
-  /// The batching-row width (N/2) of the parameters encrypted execution
-  /// instantiates for this kernel's multiplicative depth. Cheap: no
-  /// context is built.
+  /// The batching-row width (N/2) of the parameters chooseParameters()
+  /// picks for this kernel's program. Cheap: no context is built.
   size_t packedRowWidth() const;
 
   /// Upper bound on concurrently checked-out Runtimes (pool capacity).
@@ -150,15 +154,6 @@ private:
   /// Pops an idle Runtime, builds a new one (outside the pool lock) while
   /// under the pool size, or blocks until a lease returns.
   Expected<RuntimeLease> acquireRuntime() const;
-
-  /// Validates one input set against the program shape (no mutation).
-  Status checkInputs(const std::vector<std::vector<uint64_t>> &Inputs) const;
-  /// checkInputs() plus zero-padding every vector to the program width.
-  Status padInputs(std::vector<std::vector<uint64_t>> &Inputs) const;
-
-  /// One evaluation on an already-leased runtime.
-  Expected<ExecuteOutcome>
-  runOn(Runtime &RT, const std::vector<std::vector<uint64_t>> &Padded) const;
 
   const CompileResult Result;
   const CompileOptions Opts;

@@ -275,72 +275,41 @@ void Server::serveGroup(Shard &Sh, PreparedKernel &PK,
   const std::string &KernelName = Group.front()->SpecName;
   const size_t N = Group.size();
 
-  auto UpdateEwma = [&](uint64_t ServiceUs) {
+  // Every group takes the packed path. A capacity-1 plan (a non-batchable
+  // kernel, or MaxBatch 1) always hands over a group of one, which sits at
+  // window 0 of the row, where executePacked() is exactly execute().
+  Clock::time_point Start = Clock::now();
+  std::vector<const RequestInputs *> Ins;
+  Ins.reserve(N);
+  for (auto &P : Group)
+    Ins.push_back(&P->Req.Inputs);
+  auto Out = PK.Kernel->executePacked(PK.Plan.pack(Ins));
+  Clock::time_point End = Clock::now();
+  {
     std::lock_guard<std::mutex> L(Sh.M);
     double &E = Sh.EwmaUs[KernelName];
-    E = E == 0.0 ? static_cast<double>(ServiceUs)
-                 : 0.7 * E + 0.3 * static_cast<double>(ServiceUs);
-  };
-
-  if (PK.Plan.batchable()) {
-    Clock::time_point Start = Clock::now();
-    std::vector<const RequestInputs *> Ins;
-    Ins.reserve(N);
+    double ServiceUs = static_cast<double>(usBetween(Start, End));
+    E = E == 0.0 ? ServiceUs : 0.7 * E + 0.3 * ServiceUs;
+  }
+  ++BatchesTotal;
+  FillUsedTotal += N;
+  FillCapacityTotal += PK.Plan.capacity();
+  if (N > 1)
+    BatchedRequestsTotal += N;
+  if (!Out) {
+    ExecFailures += N;
     for (auto &P : Group)
-      Ins.push_back(&P->Req.Inputs);
-    auto Out = PK.Kernel->executePacked(PK.Plan.pack(Ins));
-    Clock::time_point End = Clock::now();
-    UpdateEwma(usBetween(Start, End));
-    ++BatchesTotal;
-    FillUsedTotal += N;
-    FillCapacityTotal += PK.Plan.capacity();
-    if (N > 1)
-      BatchedRequestsTotal += N;
-    if (!Out) {
-      ExecFailures += N;
-      for (auto &P : Group)
-        P->Prom.set_value(Out.status());
-      return;
-    }
-    for (size_t K = 0; K < N; ++K) {
-      Pending &P = *Group[K];
-      Response Resp;
-      Resp.Outputs = PK.Plan.slice(Out->Outputs, K);
-      Resp.NoiseBudgetBits = Out->NoiseBudgetBits;
-      Resp.PolyDegree = Out->PolyDegree;
-      Resp.Batched = N > 1;
-      Resp.BatchSize = N;
-      Resp.QueueUs = usBetween(P.Enqueued, Start);
-      Resp.TotalUs = usBetween(P.Enqueued, End);
-      Resp.KernelFingerprint = PK.Kernel->fingerprint();
-      observeLatency(KernelName, Resp.TotalUs);
-      ++ServedTotal;
-      P.Prom.set_value(std::move(Resp));
-    }
+      P->Prom.set_value(Out.status());
     return;
   }
-
-  // Capacity 1: the classic one-request-per-ciphertext path.
-  for (auto &PPtr : Group) {
-    Pending &P = *PPtr;
-    Clock::time_point Start = Clock::now();
-    auto Out = PK.Kernel->execute(P.Req.Inputs);
-    Clock::time_point End = Clock::now();
-    UpdateEwma(usBetween(Start, End));
-    ++BatchesTotal;
-    ++FillUsedTotal;
-    ++FillCapacityTotal;
-    if (!Out) {
-      ++ExecFailures;
-      P.Prom.set_value(Out.status());
-      continue;
-    }
+  for (size_t K = 0; K < N; ++K) {
+    Pending &P = *Group[K];
     Response Resp;
-    Resp.Outputs = PK.Plan.maskOnly(Out->Outputs);
+    Resp.Outputs = PK.Plan.slice(Out->Outputs, K);
     Resp.NoiseBudgetBits = Out->NoiseBudgetBits;
     Resp.PolyDegree = Out->PolyDegree;
-    Resp.Batched = false;
-    Resp.BatchSize = 1;
+    Resp.Batched = N > 1;
+    Resp.BatchSize = N;
     Resp.QueueUs = usBetween(P.Enqueued, Start);
     Resp.TotalUs = usBetween(P.Enqueued, End);
     Resp.KernelFingerprint = PK.Kernel->fingerprint();

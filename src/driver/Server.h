@@ -33,11 +33,14 @@
 ///   // R->Outputs[0] == 36; concurrent callers for the same tenant and
 ///   // kernel share ciphertexts automatically.
 ///
-/// Responses are deterministic regardless of batching: slots the kernel's
-/// layout leaves unconstrained are zeroed on both the batched and the
-/// fallback path. Execution runs on the backend named by the Engine's
-/// CompileOptions (encrypted BFV by default; the keyless dry-run backend
-/// serves the same requests with plaintext semantics).
+/// Responses are deterministic regardless of batching: every group, even
+/// a group of one, goes through CompiledKernel::executePacked(), and slots
+/// the kernel's layout leaves unconstrained are zeroed. A result whose
+/// noise budget is exhausted fails the group's requests (counted in
+/// porcupine_server_execution_failures_total). Execution runs on the
+/// backend named by the Engine's CompileOptions (encrypted BFV by default;
+/// the keyless dry-run backend serves the same requests with plaintext
+/// semantics).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -61,6 +61,25 @@ quill::Program addProgram(size_t Width = 4) {
   return P;
 }
 
+/// x^(2^Depth) by repeated squaring: multiplicative depth \p Depth.
+quill::Program squareChain(int Depth) {
+  quill::Program P;
+  P.NumInputs = 1;
+  P.VectorSize = 4;
+  int V = 0;
+  for (int I = 0; I < Depth; ++I)
+    V = P.append(quill::Instr::ctCt(quill::Opcode::MulCtCt, V, V));
+  return P;
+}
+
+std::vector<uint64_t> squareChainReference(std::vector<uint64_t> X,
+                                           int Depth) {
+  for (int I = 0; I < Depth; ++I)
+    for (uint64_t &V : X)
+      V = V * V % T;
+  return X;
+}
+
 //===----------------------------------------------------------------------===//
 // Registry
 //===----------------------------------------------------------------------===//
@@ -474,6 +493,33 @@ TEST(DriverErrors, EncryptedExecutionRejectsUnsupportedPlainModulus) {
   auto Enc = Compiler(Opts).execute(P, Inputs);
   ASSERT_FALSE(Enc.hasValue());
   EXPECT_NE(Enc.status().message().find("modulus"), std::string::npos);
+}
+
+TEST(DriverErrors, ExhaustedNoiseBudgetIsAnErrorNotAWrongAnswer) {
+  const std::vector<uint64_t> X = {2, 3, 4, 5};
+  Compiler C; // Encrypted BFV.
+  // Depth 7 exhausts the largest parameter row: the slots would decrypt
+  // to garbage, so the call must fail instead of returning them.
+  auto Deep = C.execute(squareChain(7), {X});
+  ASSERT_FALSE(Deep.hasValue());
+  EXPECT_EQ(Deep.status().diagnostics().front().Stage, "execute");
+  EXPECT_NE(Deep.status().message().find("noise budget exhausted"),
+            std::string::npos)
+      << Deep.status().toString();
+  EXPECT_NE(Deep.status().message().find("N=8192"), std::string::npos);
+
+  // Depth 6 still fits and decrypts to pow(x, 64) mod t.
+  auto Ok = C.execute(squareChain(6), {X});
+  ASSERT_TRUE(Ok.hasValue()) << Ok.status().toString();
+  EXPECT_EQ(Ok->Outputs, squareChainReference(X, 6));
+  EXPECT_GE(Ok->NoiseBudgetBits, 1.0);
+
+  // The keyless dry-run backend has no noise, so depth 7 is exact there.
+  CompileOptions Dry;
+  Dry.Backend = "dryrun";
+  auto Plain = Compiler(Dry).execute(squareChain(7), {X});
+  ASSERT_TRUE(Plain.hasValue()) << Plain.status().toString();
+  EXPECT_EQ(Plain->Outputs, squareChainReference(X, 7));
 }
 
 TEST(DriverErrors, CompileWithoutSynthesisNeedsABundledProgram) {

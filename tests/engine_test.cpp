@@ -287,6 +287,32 @@ TEST(CompiledKernel, DryRunBackendMatchesEncryptedExecution) {
   EXPECT_GT(Enc->NoiseBudgetBits, 0.0);
 }
 
+TEST(CompiledKernel, OnePackedRequestAtWindowZeroMatchesExecute) {
+  // Dot Product rotates, so its scratch slots depend on where rotations
+  // wrap; both calls run over the same zero-filled batching row, so the
+  // first VectorSize outputs agree slot for slot, masked or not.
+  const std::vector<std::vector<uint64_t>> Inputs = {
+      {1, 2, 3, 4, 5, 6, 7, 8}, {1, 1, 1, 1, 1, 1, 1, 1}};
+  for (const CompileOptions &Opts : {bundledOptions(), dryrunOptions()}) {
+    Engine E(EngineOptions{4, 1, Opts});
+    auto K = E.get("dot product");
+    ASSERT_TRUE(K.hasValue()) << K.status().toString();
+    auto One = (*K)->execute(Inputs);
+    auto Packed = (*K)->executePacked(Inputs);
+    ASSERT_TRUE(One.hasValue()) << One.status().toString();
+    ASSERT_TRUE(Packed.hasValue()) << Packed.status().toString();
+    ASSERT_EQ(Packed->Outputs.size(), (*K)->packedRowWidth()) << Opts.Backend;
+    const size_t W = (*K)->program().VectorSize;
+    EXPECT_EQ(std::vector<uint64_t>(Packed->Outputs.begin(),
+                                    Packed->Outputs.begin() + W),
+              One->Outputs)
+        << Opts.Backend;
+    EXPECT_EQ(One->Outputs[0], 36u) << Opts.Backend;
+    EXPECT_EQ(Packed->Encrypted, One->Encrypted);
+    EXPECT_EQ(Packed->PolyDegree, One->PolyDegree);
+  }
+}
+
 TEST(CompiledKernel, ExecuteManyValidatesAtomicallyWithTheBatchIndex) {
   KernelRegistry R = addRegistry();
   Engine E(EngineOptions{4, 1, bundledOptions()}, &R);

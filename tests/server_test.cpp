@@ -359,6 +359,70 @@ TEST(Server, NonBatchableKernelsServeCorrectlyViaTheFallback) {
   ASSERT_TRUE(Out.hasValue()) << Out.status().toString();
   EXPECT_EQ(Out->Outputs, (std::vector<uint64_t>{9, 18, 27, 36}));
   EXPECT_FALSE(Out->Batched);
+  EXPECT_EQ(Out->BatchSize, 1u);
+  // The capacity-1 group is one execution with its one window used.
+  std::string M = S.metricsText();
+  EXPECT_NE(M.find("porcupine_server_batches_total 1\n"), std::string::npos)
+      << M;
+  EXPECT_NE(M.find("porcupine_server_batch_fill_ratio 1\n"),
+            std::string::npos)
+      << M;
+}
+
+TEST(Server, ExhaustedNoiseBudgetFailsOnEngineAndServer) {
+  // x^(2^7): one multiplicative level past what the largest parameter row
+  // can decrypt, so every serving path must fail rather than answer.
+  KernelRegistry R;
+  KernelBundle KB;
+  DataLayout L;
+  L.Description = "x^128";
+  KB.Spec = makeKernelSpec("square chain", 1, 4, L,
+                           [](const auto &In, auto Konst) {
+                             (void)Konst;
+                             std::decay_t<decltype(In[0])> Out;
+                             for (size_t I = 0; I < 4; ++I) {
+                               auto V = In[0][I];
+                               for (int D = 0; D < 7; ++D)
+                                 V = V * V;
+                               Out.push_back(V);
+                             }
+                             return Out;
+                           });
+  quill::Program P;
+  P.NumInputs = 1;
+  P.VectorSize = 4;
+  int V = 0;
+  for (int D = 0; D < 7; ++D)
+    V = P.append(quill::Instr::ctCt(quill::Opcode::MulCtCt, V, V));
+  KB.Synthesized = P;
+  ASSERT_TRUE(R.add("square chain", KB).ok());
+  const std::vector<std::vector<uint64_t>> In = {{2, 3, 4, 5}};
+
+  Engine E(EngineOptions{4, 1, bundledOptions()}, &R);
+  auto K = E.get("square chain");
+  ASSERT_TRUE(K.hasValue()) << K.status().toString();
+  auto One = (*K)->execute(In);
+  ASSERT_FALSE(One.hasValue());
+  EXPECT_NE(One.status().toString().find("noise budget exhausted"),
+            std::string::npos)
+      << One.status().toString();
+  auto Many = (*K)->executeMany({In});
+  ASSERT_FALSE(Many.hasValue());
+  EXPECT_NE(Many.status().toString().find("noise budget exhausted"),
+            std::string::npos);
+
+  Server S(testOptions(/*MaxBatch=*/4, /*FlushMicros=*/0), &R);
+  auto Out = S.call({"square chain", "t", In});
+  ASSERT_FALSE(Out.hasValue());
+  EXPECT_NE(Out.status().toString().find("noise budget exhausted"),
+            std::string::npos)
+      << Out.status().toString();
+  std::string M = S.metricsText();
+  EXPECT_NE(M.find("porcupine_server_execution_failures_total 1\n"),
+            std::string::npos)
+      << M;
+  EXPECT_NE(M.find("porcupine_server_served_total 0\n"), std::string::npos)
+      << M;
 }
 
 //===----------------------------------------------------------------------===//
